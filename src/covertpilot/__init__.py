@@ -8,6 +8,7 @@ detector stays close to blind guessing.
 
 from .detection import (
     DetectionReport,
+    covert_margin,
     covertness_lower_bound,
     detection_report,
     kl_divergence,
@@ -43,6 +44,7 @@ from .monte_carlo import (
 )
 from .optimizer import (
     DesignResult,
+    PowerSolve,
     SolverError,
     design,
     np_continuous,
@@ -71,6 +73,7 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "PowerAllocation",
+    "PowerSolve",
     "Radiometer",
     "RegGammaResult",
     "SolverError",
@@ -81,6 +84,7 @@ __all__ = [
     "bob_estimation_diagnostics",
     "chi_square_cdf",
     "count_detector_disagreements",
+    "covert_margin",
     "covertness_lower_bound",
     "design",
     "detection_report",

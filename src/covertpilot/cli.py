@@ -20,10 +20,20 @@ the fully resolved configuration.
 
 import argparse
 import configparser
-import hashlib
+import functools
 import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# CPython's built-in SHA-256: hashlib would also load OpenSSL, which costs
+# ~3.8 MB resident and ~2.5 ms of import for one short digest per run
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
 from .link_model import PowerAllocation, SystemConfig, effective_sinr_equal_power, sinr
@@ -121,7 +131,12 @@ def _parse_power(key: str, raw: str, units: str) -> float:
         value = float(text)
     except ValueError:
         raise ConfigError(f"config key '{key}': cannot parse {raw!r} as a number")
-    return dbm_to_linear(value) if is_dbm else value
+    if not is_dbm:
+        return value
+    try:
+        return dbm_to_linear(value)
+    except OverflowError:
+        raise ConfigError(f"config key '{key}': {raw!r} is out of range")
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -249,7 +264,7 @@ def config_hash(resolved: Dict[str, object]) -> str:
         else:
             text = _fmt(value)
         lines.append(f"{key}={text}")
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    digest = sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:12]
 
 
@@ -334,7 +349,7 @@ def cmd_fig2(args) -> int:
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
-        rho = solve_rho_star(cfg)
+        rho = solve_rho_star(cfg).rho
         best, _, _ = np_star(cfg, rho)
         for n_p in range(1, cfg.n):
             gamma = effective_sinr_equal_power(cfg, rho, n_p)
@@ -354,7 +369,7 @@ def cmd_fig3(args) -> int:
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
             cfg = system_config(resolved, n=n, epsilon=epsilon)
-            rho = solve_rho_star(cfg)
+            rho = solve_rho_star(cfg).rho
             best, _, _ = np_star(cfg, rho)
             rows.append([epsilon, n, best, best / n, digest])
     _write_csv(
@@ -458,7 +473,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file path")
     common.add_argument("--out", help="CSV output path (default: stdout)")
@@ -495,7 +512,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrialBudgetError as exc:
         print(f"monte carlo budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SolverError as exc:
+    except (SolverError, ArithmeticError) as exc:
+        # ArithmeticError covers the kernels' ConvergenceError and any
+        # overflow or division failure on the way to a result
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

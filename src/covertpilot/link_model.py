@@ -9,6 +9,7 @@ All powers and variances are linear scale; dBm conversion is a CLI
 concern.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ class SystemConfig:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
         for name in ("lambda_ab", "sigma_b2", "sigma_w2"):
             value = getattr(self, name)
-            if not (value > 0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
 

@@ -14,16 +14,22 @@ draws from its own Philox substream keyed by (seed, domain, chunk
 index).  Counts are reduced as exact integers, so estimates are
 bit-identical for a given (seed, config) regardless of how chunks are
 scheduled.
+
+numpy is imported by the functions that draw, not by the module, so the
+closed-form commands never load it.
 """
+
+from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Tuple, Union
 
 from .link_model import PowerAllocation, SystemConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_TRIALS = 1 << 14
 MIN_TRIALS = 1_000
@@ -111,6 +117,8 @@ class BobEstimationDiagnostics:
 
 
 def _stream(seed: int, domain: int, chunk: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed, (domain << 48) | chunk], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -149,6 +157,8 @@ def draw_willie_observation(
     their statistics, not their values), so the first n_p samples are
     CN(0, rho_p + sigma_w2) and the rest CN(0, rho_d + sigma_w2).
     """
+    import numpy as np
+
     sw2 = cfg.sigma_w2
     if hypothesis == "H0":
         samples = _complex_normal(rng, sw2, cfg.n)
@@ -161,6 +171,8 @@ def draw_willie_observation(
 
 def segment_energies(obs: WillieObservation, n_p: int) -> Tuple[float, float]:
     """Total |y|^2 in the pilot and data segments of an observation."""
+    import numpy as np
+
     energy = np.abs(obs.samples) ** 2
     return float(np.sum(energy[:n_p])), float(np.sum(energy[n_p:]))
 
@@ -218,6 +230,8 @@ def simulate_willie(
     the detector.  xi = alpha + beta; its standard error combines the two
     binomial errors in quadrature.
     """
+    import numpy as np
+
     if alloc.n != cfg.n:
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
@@ -251,6 +265,8 @@ def count_detector_disagreements(
     Uses the same substreams as simulate_willie, so both detectors see
     exactly the samples that produced the reported error rates.
     """
+    import numpy as np
+
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
@@ -295,6 +311,8 @@ def simulate_bob_sinr(
     rho_d |h - h_hat|^2 + sigma_b2.  Returns the ratio of means with a
     delta-method standard error.
     """
+    import numpy as np
+
     if alloc.n != cfg.n:
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
@@ -329,6 +347,8 @@ def bob_estimation_diagnostics(
     h_hat with h - h_hat is zero for an MMSE split; both its components
     are reported with standard errors for that check.
     """
+    import numpy as np
+
     sum_hh = sum_hh2 = 0.0
     sum_ee = sum_ee2 = 0.0
     sum_cre = sum_cre2 = 0.0

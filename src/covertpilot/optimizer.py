@@ -2,30 +2,48 @@
 
 Solves the two-stage allocation problem for the equal-power regime:
 first find the largest average power whose closed-form minimum detection
-error probability still meets the covertness target (a scalar root of a
-monotone function, solved by bracketed bisection), then pick the integer
-pilot count maximizing the effective SINR at that power.  The power
-solve comes first because the warden's error probability depends on the
-slot length only, never on the pilot/data split.
+error probability still meets the covertness target, then pick the
+integer pilot count maximizing the effective SINR at that power.  The
+power solve comes first because the warden's error probability depends
+on the slot length only, never on the pilot/data split.
+
+The power solve works on the covert margin V = 1 - xi* as a function of
+the warden SNR s = rho / sigma_w2, so it is scale-free: safeguarded
+Newton on ln V(s) = ln epsilon in ln s, started from the square-root
+law (Bash, Goeckel & Towsley, IEEE JSAC 31(9), 2013) and bracketed
+below by Pinsker's inequality.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
-from .detection import min_detection_error
+from .detection import covert_margin
 from .link_model import PowerAllocation, SystemConfig, effective_sinr
 
-# bisection stops when the detection-error residual or the bracket width
-# falls below these
-XI_TOL = 1e-10
-RHO_TOL = 1e-13
-_BRACKET_CAP_FACTOR = 1e3
-_MAX_BISECTIONS = 300
+# the solve returns V(s*) in [epsilon (1 - MARGIN_REL_TOL), epsilon]
+MARGIN_REL_TOL = 1e-12
+# from the warm start Newton needs at most 5 evaluations for epsilon <= 0.3
+# at any n up to 1e8, and under 20 as epsilon nears 1; the rest of the
+# budget covers bisection steps, which halve the bracket in ln s
+_MAX_ITERATIONS = 100
+# Newton steps on erf for the warm start's normal quantile; the start is
+# refined by the solve itself, so this need not run to convergence
+_QUANTILE_STEPS = 8
 
 
 class SolverError(RuntimeError):
-    """No root bracket found; the configuration is pathological."""
+    """The power solve did not converge; the configuration is pathological."""
+
+
+@dataclass(frozen=True)
+class PowerSolve:
+    """The covert power and how the solve reached it."""
+
+    rho: float
+    margin: float  # covert margin V = 1 - xi* at rho, <= epsilon
+    residual: float  # margin / epsilon - 1, in [-MARGIN_REL_TOL, 0]
+    iterations: int  # covert_margin evaluations
 
 
 @dataclass(frozen=True)
@@ -39,51 +57,70 @@ class DesignResult:
     xi_star_achieved: float
     np_ceil: int
     np_floor: int
+    solver_iterations: int
+    solver_residual: float
 
 
-def _bisect_decreasing(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    hi_cap: float,
-    f_tol: float = XI_TOL,
-    x_tol: float = RHO_TOL,
-) -> float:
-    """Root of a continuous decreasing fn, expanding hi until fn(hi) < 0."""
-    if fn(lo) < 0.0:
-        raise SolverError(f"no sign change: fn({lo}) is already negative")
-    while fn(hi) > 0.0:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise SolverError(
-                f"no sign change found while expanding the bracket up to {hi_cap}"
-            )
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        value = fn(mid)
-        if abs(value) < f_tol or (hi - lo) < x_tol:
-            return mid
-        if value > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _warm_start(n: int, epsilon: float) -> float:
+    """Square-root-law SNR 2 z / sqrt(n) (1 + 1/(12 n)), z = Phi^-1((1 + epsilon)/2).
+
+    z = sqrt(2) u with erf(u) = epsilon, found by Newton from erf's
+    tangent at 0, epsilon sqrt(pi)/2: erf is concave on u > 0, so the
+    steps climb to the root from below.  Solving erf(u) = epsilon keeps
+    full relative precision at tiny epsilon, where (1 + epsilon)/2
+    rounds.  The 1/(12 n) factor removes the leading finite-n error at
+    tight epsilon.
+    """
+    u = 0.5 * math.sqrt(math.pi) * epsilon
+    for _ in range(_QUANTILE_STEPS):
+        step = (epsilon - math.erf(u)) * 0.5 * math.sqrt(math.pi) * math.exp(u * u)
+        u += step
+        if step <= 1e-12 * u:
+            break
+    return 2.0 * math.sqrt(2.0) * u / math.sqrt(n) * (1.0 + 1.0 / (12.0 * n))
 
 
-def solve_rho_star(cfg: SystemConfig) -> float:
+def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
     """Largest average power meeting the covertness target.
 
-    Solves xi_star(rho) = 1 - epsilon by bisection; xi_star is continuous
-    and strictly decreasing in rho, so the root is unique.
+    Solves V(s) = epsilon for the warden SNR s, where V = 1 - xi* rises
+    strictly with s, by Newton steps on ln V - ln epsilon in t = ln s,
+    aimed at the middle of the accepted band so the result lands on the
+    feasible side: V(s*) <= epsilon within MARGIN_REL_TOL relative.
+    Every evaluation narrows a bracket in t; a step that would leave it
+    bisects it instead.  The lower end s = 2 epsilon / sqrt(n) is
+    certified by Pinsker's inequality, since the divergence is below
+    n s^2 / 2.  Returns rho* = s* sigma_w2.
     """
-    target = 1.0 - cfg.epsilon
-
-    def gap(rho: float) -> float:
-        return min_detection_error(cfg, rho).xi_star - target
-
-    sw2 = cfg.sigma_w2
-    return _bisect_decreasing(
-        gap, lo=1e-12 * sw2, hi=sw2, hi_cap=_BRACKET_CAP_FACTOR * sw2
+    n, epsilon = cfg.n, cfg.epsilon
+    log_eps = math.log(epsilon)
+    target = log_eps + math.log1p(-0.5 * MARGIN_REL_TOL)
+    t_lo = math.log(2.0 * epsilon / math.sqrt(n))
+    t_hi = math.inf
+    t = max(math.log(_warm_start(n, epsilon)), t_lo)
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        s = math.exp(t)
+        margin, slope = covert_margin(n, s)
+        residual = margin / epsilon - 1.0
+        if -MARGIN_REL_TOL <= residual <= 0.0:
+            return PowerSolve(
+                rho=s * cfg.sigma_w2, margin=margin, residual=residual,
+                iterations=iteration,
+            )
+        if residual < 0.0:
+            t_lo = max(t_lo, t)
+        else:
+            t_hi = min(t_hi, t)
+        step = math.nan
+        if margin > 0.0 and slope > 0.0:
+            step = (target - math.log(margin)) * margin / (s * slope)
+        t_next = t + step
+        if not (t_lo < t_next < t_hi):
+            t_next = 0.5 * (t_lo + t_hi) if t_hi < math.inf else t_lo + 1.0
+        t = t_next
+    raise SolverError(
+        f"covert power solve did not converge in {_MAX_ITERATIONS} iterations for "
+        f"n={n}, epsilon={epsilon!r}: SNR bracket [{math.exp(t_lo)!r}, {math.exp(t_hi)!r}]"
     )
 
 
@@ -91,19 +128,17 @@ def np_continuous(cfg: SystemConfig, rho_star: float) -> float:
     """Real-valued pilot count maximizing the effective SINR at equal power.
 
     The positive root of lambda rho x^2 + 2 kappa x - n kappa = 0 with
-    kappa = lambda rho + sigma_b2:
+    kappa = lambda rho + sigma_b2, in the form that neither cancels when
+    lambda rho is small against kappa nor overflows when both are large:
 
-        x = (-kappa + sqrt(kappa (kappa + n lambda rho))) / (lambda rho)
+        x = n / (1 + sqrt(1 + n lambda rho / kappa))
 
     Always lies in (0, n).
     """
     if not (rho_star > 0):
         raise ValueError(f"np_continuous requires rho_star > 0, got {rho_star!r}")
-    lam = cfg.lambda_ab
-    kappa = lam * rho_star + cfg.sigma_b2
-    return (-kappa + math.sqrt(kappa * (kappa + cfg.n * lam * rho_star))) / (
-        lam * rho_star
-    )
+    lam_rho = cfg.lambda_ab * rho_star
+    return cfg.n / (1.0 + math.sqrt(1.0 + cfg.n * (lam_rho / (lam_rho + cfg.sigma_b2))))
 
 
 def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
@@ -145,7 +180,8 @@ def np_sensitivity(cfg: SystemConfig, rho: float) -> float:
 
 def design(cfg: SystemConfig) -> DesignResult:
     """Full covert design: solve the power, then the pilot count."""
-    rho_star = solve_rho_star(cfg)
+    power = solve_rho_star(cfg)
+    rho_star = power.rho
     best, np_ceil, np_floor = np_star(cfg, rho_star)
     alloc = PowerAllocation.equal_power(cfg.n, rho_star, best)
     return DesignResult(
@@ -153,7 +189,9 @@ def design(cfg: SystemConfig) -> DesignResult:
         np_continuous=np_continuous(cfg, rho_star),
         np_star=best,
         gamma_eff_star=effective_sinr(cfg, alloc),
-        xi_star_achieved=min_detection_error(cfg, rho_star).xi_star,
+        xi_star_achieved=1.0 - power.margin,
         np_ceil=np_ceil,
         np_floor=np_floor,
+        solver_iterations=power.iterations,
+        solver_residual=power.residual,
     )

@@ -1,15 +1,21 @@
-"""Log-gamma and regularized incomplete gamma kernels.
+"""Log-gamma, regularized incomplete gamma and saddle-point kernels.
 
 P(s, x) is evaluated by its power series for x < s + 1 and through the
 continued fraction for Q(s, x) = 1 - P(s, x) otherwise; this split keeps
 both expansions in their fast-converging regime.  All prefactors are
 accumulated in log space and exponentiated last, so shapes in the
 thousands do not underflow.
+
+stirlerr and expm1mx are the two pieces of the saddle-point form of the
+Gamma(n, 1) density (Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000): each is evaluated without the cancellation its
+defining difference suffers from.
 """
 
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Tuple
 
 MAX_ITERATIONS = 10_000
 RELATIVE_TOL = 1e-15
@@ -76,6 +82,66 @@ def _upper_continued_fraction(s: float, x: float) -> float:
     raise ConvergenceError(
         f"upper incomplete gamma continued fraction did not converge for s={s}, x={x}"
     )
+
+
+# ln(n!) - [(n + 1/2) ln n - n + ln(2 pi)/2] for n = 1..15, where the
+# Stirling series below is not yet accurate to double precision
+_STIRLERR_SMALL = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+# Stirling series coefficients B_2k / (2k (2k - 1)), k = 6 down to 1; the
+# first term left out is below 2e-18 for n > 15
+_STIRLING_SERIES = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
+# |w| below which expm1mx sums its Taylor series; above it the direct
+# difference loses at most a few ulps
+_EXPM1MX_SERIES_MAX = 0.5
+
+
+def _expm1mx_tier(bound: float) -> Tuple[float, Tuple[float, ...]]:
+    """(bound, Horner coefficients 1/K!, ..., 1/3!) for |w| < bound.
+
+    K is the lowest order at which the first omitted term, w^(K+1)/(K+1)!,
+    stays below 1e-17 of the leading w^2/2.
+    """
+    order = 3
+    while 2.0 * bound ** (order - 1) / math.factorial(order + 1) > 1e-17:
+        order += 1
+    return bound, tuple(1.0 / math.factorial(k) for k in range(order, 2, -1))
+
+
+# fewer terms for smaller |w|: 3 coefficients suffice below 1e-4, 13 below 0.5
+_EXPM1MX_TIERS = tuple(
+    _expm1mx_tier(bound) for bound in (1e-4, 1e-3, 1e-2, 0.05, 0.15, _EXPM1MX_SERIES_MAX)
+)
+
+
+def stirlerr(n: int) -> float:
+    """Stirling's error ln(n!) - [(n + 1/2) ln n - n + ln(2 pi)/2], integer n >= 1."""
+    if n <= 15:
+        return _STIRLERR_SMALL[n - 1]
+    inv2 = 1.0 / (n * n)
+    total = 0.0
+    for coeff in _STIRLING_SERIES:
+        total = total * inv2 + coeff
+    return total / n
+
+
+def expm1mx(w: float) -> float:
+    """expm1(w) - w = w^2/2! + w^3/3! + ..., to a few ulps relative."""
+    size = abs(w)
+    if size >= _EXPM1MX_SERIES_MAX:
+        return math.expm1(w) - w
+    for bound, coeffs in _EXPM1MX_TIERS:
+        if size < bound:
+            break
+    acc = 0.0
+    for coeff in coeffs:
+        acc = acc * w + coeff
+    return w * w * (0.5 + w * acc)
 
 
 def reg_gamma(s: float, x: float) -> RegGammaResult:

@@ -1,12 +1,20 @@
 """Tests for the command-line front end."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import covertpilot
 from covertpilot.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SOLVER,
+    build_parser,
     config_hash,
     dbm_to_linear,
     linear_to_dbm,
@@ -78,6 +86,53 @@ class TestConfigHandling:
         assert "tau" in captured.err
         assert "ignored" in captured.err
 
+    @pytest.mark.parametrize(
+        "key,raw",
+        [
+            ("lambda_ab", "inf"),
+            ("lambda_ab", "nan"),
+            ("sigma_b2", "inf"),
+            ("sigma_b2", "nan"),
+            ("sigma_w2", "inf"),
+            ("sigma_w2", "nan dBm"),
+            ("sigma_w2", "4000 dBm"),
+            ("epsilon", "inf"),
+            ("epsilon", "nan"),
+        ],
+    )
+    def test_non_finite_value_names_field(self, tmp_path, capsys, key, raw):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\n{key} = {raw}\n")
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_kernel_failure_is_a_solver_exit(self, tmp_path, capsys):
+        # the incomplete gamma series behind sweep's alpha and beta columns
+        # does not converge at this slot length
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nn = 10000000\n[sweep]\nrho_points = 2\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ")
+        assert err.count("\n") == 1
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["design", "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+            with pytest.raises(SystemExit) as exc:
+                main(["design", "--units", "watts"])
+            assert exc.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[:2] == texts[2:]
+
     def test_missing_config_file(self):
         assert main(["design", "--config", "/nonexistent/run.ini"]) == EXIT_CONFIG
 
@@ -88,6 +143,12 @@ class TestConfigHandling:
         a = config_hash({"command": "design", "n": 100})
         b = config_hash({"command": "design", "n": 200})
         assert a != b and len(a) == 12
+
+    def test_hash_is_sha256_of_sorted_lines(self):
+        resolved = {"n": 100, "command": "design", "epsilon": 0.1, "np_values": [20, 50]}
+        text = "command=design\nepsilon=0.10000000000000001\nn=100\nnp_values=20,50"
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        assert config_hash(resolved) == expected
 
 
 class TestDesignCommand:
@@ -111,6 +172,22 @@ class TestDesignCommand:
             header, rows = read_csv(out)
             values[eps] = column(header, rows, "np_star", int)[0]
         assert values["0.05"] >= values["0.2"]
+
+
+def test_closed_form_commands_load_neither_numpy_nor_openssl(tmp_path):
+    script = (
+        "import sys, covertpilot.cli as cli\n"
+        "for command in ('design', 'fig3', 'sweep'):\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print(sorted({'numpy', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covertpilot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestFigureCommands:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from covertpilot.detection import (
+    _GL_HALF,
+    covert_margin,
     covertness_lower_bound,
     detection_report,
     kl_divergence,
@@ -202,3 +204,65 @@ class TestDetectionReport:
             assert rep.alpha == first.alpha
             assert rep.beta == first.beta
             assert rep.d01 == pytest.approx(first.d01, rel=1e-12)
+
+
+def design_snrs(n):
+    """Warden SNRs whose covert margin spans epsilon from ~1e-9 to ~0.9."""
+    return [c / math.sqrt(n) for c in (1e-8, 1e-4, 0.02, 0.5, 3.3)]
+
+
+class TestCovertMargin:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for n in (2, 3, 7, 16, 100, 1000, 10**4, 10**5, 10**6):
+            for s in design_snrs(n):
+                lo = n * mpmath.log1p(s) / s
+                exact = mpmath.gammainc(n, lo, (1 + mpmath.mpf(s)) * lo, regularized=True)
+                margin, _ = covert_margin(n, s)
+                assert margin == pytest.approx(float(exact), rel=1e-13, abs=0)
+
+    def test_wide_windows_against_mpmath(self):
+        # epsilon near 1 takes the composite rule over the density's support
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for n, s in ((2, 63.0), (2, 5866.0), (3, 800.0), (10, 27.0), (1000, 0.5), (10**6, 0.01)):
+            lo = n * mpmath.log1p(s) / s
+            exact = mpmath.gammainc(n, lo, (1 + mpmath.mpf(s)) * lo, regularized=True)
+            margin, _ = covert_margin(n, s)
+            assert margin == pytest.approx(float(exact), rel=0, abs=1e-14)
+
+    def test_complements_min_detection_error(self):
+        # 1 - (alpha + beta) from the incomplete gamma series is good to
+        # ~5e-13 absolute at n = 1000; the margin itself is ~1e-15
+        for n in (2, 10, 100, 1000):
+            for s in design_snrs(n)[2:]:
+                margin, _ = covert_margin(n, s)
+                xi = min_detection_error(make_cfg(n=n), s).xi_star
+                assert margin == pytest.approx(1.0 - xi, rel=0, abs=1e-12)
+
+    def test_derivative_matches_finite_difference(self):
+        for n in (2, 10, 100, 10**4, 10**7):
+            for s in design_snrs(n)[1:]:
+                h = 1e-5 * s
+                fd = (covert_margin(n, s + h)[0] - covert_margin(n, s - h)[0]) / (2 * h)
+                assert covert_margin(n, s)[1] == pytest.approx(fd, rel=1e-7, abs=0)
+
+    def test_wide_windows_stay_in_unit_interval(self):
+        previous = 0.0
+        for s in (0.1, 1.0, 10.0, 1e3, 1e6, 1e30):
+            margin, slope = covert_margin(3, s)
+            assert previous < margin <= 1.0 + 1e-15
+            assert slope > 0.0
+            previous = margin
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        half = sorted(_GL_HALF)
+        assert np.allclose([x for x, _ in half], nodes[8:], rtol=0, atol=1e-15)
+        assert np.allclose([w for _, w in half], weights[8:], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_invalid_snr(self, bad):
+        with pytest.raises(ValueError):
+            covert_margin(10, bad)

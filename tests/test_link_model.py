@@ -1,5 +1,7 @@
 """Tests for the Alice-Bob link analytics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,15 @@ class TestConfigValidation:
     def test_invalid_config_names_field(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             make_cfg(**kwargs)
+
+    @pytest.mark.parametrize(
+        "arg,field",
+        [("lam", "lambda_ab"), ("sb2", "sigma_b2"), ("sw2", "sigma_w2"), ("eps", "epsilon")],
+    )
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_names_field(self, arg, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_cfg(**{arg: value})
 
     def test_invalid_allocation(self):
         with pytest.raises(ValueError, match="n_p"):

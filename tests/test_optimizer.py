@@ -1,15 +1,17 @@
 """Tests for the covert design optimizer."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from covertpilot.detection import min_detection_error
+from covertpilot import optimizer
+from covertpilot.detection import covert_margin, min_detection_error
 from covertpilot.link_model import SystemConfig, effective_sinr_equal_power
 from covertpilot.optimizer import (
+    MARGIN_REL_TOL,
     SolverError,
-    _bisect_decreasing,
     design,
     np_continuous,
     np_sensitivity,
@@ -25,24 +27,64 @@ def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
 class TestRhoSolver:
     def test_round_trip_against_detection_error(self):
         cfg = make_cfg(n=100, eps=0.1)
-        rho = solve_rho_star(cfg)
+        rho = solve_rho_star(cfg).rho
         assert abs(min_detection_error(cfg, rho).xi_star - 0.9) < 1e-9
 
     def test_monotone_in_epsilon(self):
-        loose = solve_rho_star(make_cfg(eps=0.2))
-        tight = solve_rho_star(make_cfg(eps=0.1))
+        loose = solve_rho_star(make_cfg(eps=0.2)).rho
+        tight = solve_rho_star(make_cfg(eps=0.1)).rho
         assert loose > tight
 
     def test_monotone_on_epsilon_grid(self):
         for n in (50, 100, 500):
-            values = [solve_rho_star(make_cfg(n=n, eps=e)) for e in np.arange(0.01, 0.31, 0.01)]
+            values = [
+                solve_rho_star(make_cfg(n=n, eps=e)).rho for e in np.arange(0.01, 0.31, 0.01)
+            ]
             assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_bracket_failure_raises(self):
-        with pytest.raises(SolverError):
-            _bisect_decreasing(lambda x: 1.0, lo=1e-12, hi=1.0, hi_cap=1e3)
-        with pytest.raises(SolverError):
-            _bisect_decreasing(lambda x: -1.0, lo=1e-12, hi=1.0, hi_cap=1e3)
+    def test_bracket_failure_raises(self, monkeypatch):
+        # a margin that never crosses epsilon leaves no root in the bracket
+        for flat in ((1.0, 0.0), (0.0, 0.0)):
+            monkeypatch.setattr(optimizer, "covert_margin", lambda n, s, flat=flat: flat)
+            with pytest.raises(SolverError, match="did not converge"):
+                solve_rho_star(make_cfg())
+
+    def test_stops_on_the_covert_side(self, monkeypatch):
+        # a doubled slope halves each Newton step, so the iterates creep down
+        # to epsilon from above and pass through the band's infeasible half
+        monkeypatch.setattr(optimizer, "covert_margin", lambda n, s: (s, 2.0))
+        solve = solve_rho_star(make_cfg(n=5, eps=0.01))
+        assert 0.01 * (1.0 - MARGIN_REL_TOL) <= solve.margin <= 0.01
+        assert solve.iterations > 5
+
+    def test_feasible_and_tight_over_the_scale_range(self):
+        rng = np.random.default_rng(25)
+        iterations = []
+        for _ in range(400):
+            n = int(10 ** rng.uniform(np.log10(2), 8))
+            eps = float(10 ** rng.uniform(-9, np.log10(0.3)))
+            solve = solve_rho_star(make_cfg(n=n, eps=eps))
+            margin, _ = covert_margin(n, solve.rho)
+            assert margin == solve.margin
+            assert eps * (1.0 - MARGIN_REL_TOL) <= margin <= eps
+            assert solve.residual == margin / eps - 1.0
+            assert 1 <= solve.iterations <= 5
+            iterations.append(solve.iterations)
+        # the square-root-law start leaves about two Newton evaluations
+        assert np.mean(iterations) <= 2.5
+
+    def test_snr_is_invariant_to_the_noise_scale(self):
+        base = solve_rho_star(make_cfg(n=1000, eps=1e-3)).rho
+        for exponent in range(-30, 31, 5):
+            sw2 = 10.0 ** exponent
+            rho = solve_rho_star(make_cfg(n=1000, sw2=sw2, eps=1e-3)).rho
+            assert rho / sw2 == pytest.approx(base, rel=1e-15, abs=0)
+
+    def test_loose_covertness_near_one(self):
+        for n in (2, 3, 10, 100):
+            for eps in (0.5, 0.9, 0.99, 0.999999):
+                solve = solve_rho_star(make_cfg(n=n, eps=eps))
+                assert -MARGIN_REL_TOL <= solve.residual <= 0.0
 
 
 class TestContinuousPilotCount:
@@ -51,6 +93,17 @@ class TestContinuousPilotCount:
         assert np_continuous(cfg, 1.0) == pytest.approx(
             math.sqrt(204.0) - 2.0, rel=1e-12
         )
+
+    def test_no_cancellation_at_very_low_snr(self):
+        # sigma_b2 >> lambda rho: the textbook root cancels to a few digits
+        for n, lam, sb2, rho in ((1000, 1.0, 1.0, 1e-12), (10**8, 1e-3, 1e6, 1e-15)):
+            cfg = make_cfg(n=n, lam=lam, sb2=sb2)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                lam_rho = Decimal(lam) * Decimal(rho)
+                kappa = lam_rho + Decimal(sb2)
+                exact = (-kappa + (kappa * (kappa + n * lam_rho)).sqrt()) / lam_rho
+            assert np_continuous(cfg, rho) == pytest.approx(float(exact), rel=1e-14, abs=0)
 
     def test_zeroes_the_stationarity_quadratic(self):
         rng = np.random.default_rng(21)
@@ -158,6 +211,15 @@ class TestDesign:
             assert abs(result.xi_star_achieved - (1.0 - eps)) < 1e-9
             assert result.np_star in (result.np_ceil, result.np_floor)
             assert result.np_floor <= result.np_continuous <= result.np_ceil
+
+    def test_reports_the_solve(self):
+        cfg = make_cfg(n=100, eps=0.1)
+        result = design(cfg)
+        solve = solve_rho_star(cfg)
+        assert result.rho_star == solve.rho
+        assert result.xi_star_achieved == 1.0 - solve.margin
+        assert result.solver_iterations == solve.iterations
+        assert result.solver_residual == solve.residual
 
     def test_tighter_covertness_needs_more_pilots(self):
         tight = design(make_cfg(eps=0.05))

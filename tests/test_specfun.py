@@ -9,9 +9,11 @@ from scipy import special
 from covertpilot.specfun import (
     RegGammaResult,
     chi_square_cdf,
+    expm1mx,
     ln_gamma,
     reg_gamma,
     reg_lower_gamma,
+    stirlerr,
 )
 
 
@@ -150,3 +152,25 @@ def test_against_monte_carlo_gamma_cdf():
         empirical = float(np.mean(draws <= x))
         se = math.sqrt(empirical * (1.0 - empirical) / n_samples)
         assert abs(reg_lower_gamma(s, x) - empirical) <= 4.0 * se
+
+
+def test_stirlerr_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for n in list(range(1, 40)) + [50, 100, 500, 10**4, 10**6, 10**9]:
+        exact = (
+            mpmath.loggamma(n + 1) - (n + mpmath.mpf(1) / 2) * mpmath.log(n)
+            + n - mpmath.log(2 * mpmath.pi) / 2
+        )
+        assert stirlerr(n) == pytest.approx(float(exact), rel=1e-14, abs=1e-17)
+
+
+def test_expm1mx_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(9)
+    magnitudes = 10 ** rng.uniform(-9, 1, 2000)
+    for w in np.concatenate([magnitudes, -magnitudes, [1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.5]]):
+        exact = mpmath.expm1(float(w)) - float(w)
+        assert expm1mx(float(w)) == pytest.approx(float(exact), rel=1e-15, abs=0)
+    assert expm1mx(0.0) == 0.0
