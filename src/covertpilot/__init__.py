@@ -44,7 +44,6 @@ from .monte_carlo import (
 )
 from .optimizer import (
     DesignResult,
-    PowerSolve,
     SolverError,
     design,
     np_continuous,
@@ -73,7 +72,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "PowerAllocation",
-    "PowerSolve",
     "Radiometer",
     "RegGammaResult",
     "SolverError",

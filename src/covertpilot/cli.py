@@ -21,19 +21,10 @@ the fully resolved configuration.
 import argparse
 import configparser
 import functools
+import hashlib
 import math
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
-
-# CPython's built-in SHA-256: hashlib would also load OpenSSL, which costs
-# ~3.8 MB resident and ~2.5 ms of import for one short digest per run
-try:
-    from _sha2 import sha256  # Python >= 3.12
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python <= 3.11
-    except ImportError:
-        from hashlib import sha256
 
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
 from .link_model import PowerAllocation, SystemConfig, effective_sinr_equal_power, sinr
@@ -48,6 +39,7 @@ from .monte_carlo import (
     simulate_willie,
 )
 from .optimizer import SolverError, design, np_star, solve_rho_star
+from .specfun import ConvergenceError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -264,7 +256,7 @@ def config_hash(resolved: Dict[str, object]) -> str:
         else:
             text = _fmt(value)
         lines.append(f"{key}={text}")
-    digest = sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return digest[:12]
 
 
@@ -349,7 +341,7 @@ def cmd_fig2(args) -> int:
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
-        rho = solve_rho_star(cfg).rho
+        rho = solve_rho_star(cfg)
         best, _, _ = np_star(cfg, rho)
         for n_p in range(1, cfg.n):
             gamma = effective_sinr_equal_power(cfg, rho, n_p)
@@ -369,7 +361,7 @@ def cmd_fig3(args) -> int:
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
             cfg = system_config(resolved, n=n, epsilon=epsilon)
-            rho = solve_rho_star(cfg).rho
+            rho = solve_rho_star(cfg)
             best, _, _ = np_star(cfg, rho)
             rows.append([epsilon, n, best, best / n, digest])
     _write_csv(
@@ -512,9 +504,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrialBudgetError as exc:
         print(f"monte carlo budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SolverError, ArithmeticError) as exc:
-        # ArithmeticError covers the kernels' ConvergenceError and any
-        # overflow or division failure on the way to a result
+    except (SolverError, ConvergenceError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -37,16 +37,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PowerSolve:
-    """The covert power and how the solve reached it."""
-
-    rho: float
-    margin: float  # covert margin V = 1 - xi* at rho, <= epsilon
-    residual: float  # margin / epsilon - 1, in [-MARGIN_REL_TOL, 0]
-    iterations: int  # covert_margin evaluations
-
-
-@dataclass(frozen=True)
 class DesignResult:
     """Output of the full design optimization."""
 
@@ -80,8 +70,8 @@ def _warm_start(n: int, epsilon: float) -> float:
     return 2.0 * math.sqrt(2.0) * u / math.sqrt(n) * (1.0 + 1.0 / (12.0 * n))
 
 
-def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
-    """Largest average power meeting the covertness target.
+def _solve_power(cfg: SystemConfig) -> Tuple[float, float, int]:
+    """(rho*, V(rho*), covert_margin evaluations) for the covertness target.
 
     Solves V(s) = epsilon for the warden SNR s, where V = 1 - xi* rises
     strictly with s, by Newton steps on ln V - ln epsilon in t = ln s,
@@ -103,10 +93,7 @@ def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
         margin, slope = covert_margin(n, s)
         residual = margin / epsilon - 1.0
         if -MARGIN_REL_TOL <= residual <= 0.0:
-            return PowerSolve(
-                rho=s * cfg.sigma_w2, margin=margin, residual=residual,
-                iterations=iteration,
-            )
+            return s * cfg.sigma_w2, margin, iteration
         if residual < 0.0:
             t_lo = max(t_lo, t)
         else:
@@ -122,6 +109,11 @@ def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
         f"covert power solve did not converge in {_MAX_ITERATIONS} iterations for "
         f"n={n}, epsilon={epsilon!r}: SNR bracket [{math.exp(t_lo)!r}, {math.exp(t_hi)!r}]"
     )
+
+
+def solve_rho_star(cfg: SystemConfig) -> float:
+    """Largest average power meeting the covertness target: xi*(rho*) >= 1 - epsilon."""
+    return _solve_power(cfg)[0]
 
 
 def np_continuous(cfg: SystemConfig, rho_star: float) -> float:
@@ -180,8 +172,7 @@ def np_sensitivity(cfg: SystemConfig, rho: float) -> float:
 
 def design(cfg: SystemConfig) -> DesignResult:
     """Full covert design: solve the power, then the pilot count."""
-    power = solve_rho_star(cfg)
-    rho_star = power.rho
+    rho_star, margin, iterations = _solve_power(cfg)
     best, np_ceil, np_floor = np_star(cfg, rho_star)
     alloc = PowerAllocation.equal_power(cfg.n, rho_star, best)
     return DesignResult(
@@ -189,9 +180,9 @@ def design(cfg: SystemConfig) -> DesignResult:
         np_continuous=np_continuous(cfg, rho_star),
         np_star=best,
         gamma_eff_star=effective_sinr(cfg, alloc),
-        xi_star_achieved=1.0 - power.margin,
+        xi_star_achieved=1.0 - margin,
         np_ceil=np_ceil,
         np_floor=np_floor,
-        solver_iterations=power.iterations,
-        solver_residual=power.residual,
+        solver_iterations=iterations,
+        solver_residual=margin / cfg.epsilon - 1.0,
     )

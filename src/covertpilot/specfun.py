@@ -101,24 +101,6 @@ _STIRLING_SERIES = (-691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 
 _EXPM1MX_SERIES_MAX = 0.5
 
 
-def _expm1mx_tier(bound: float) -> Tuple[float, Tuple[float, ...]]:
-    """(bound, Horner coefficients 1/K!, ..., 1/3!) for |w| < bound.
-
-    K is the lowest order at which the first omitted term, w^(K+1)/(K+1)!,
-    stays below 1e-17 of the leading w^2/2.
-    """
-    order = 3
-    while 2.0 * bound ** (order - 1) / math.factorial(order + 1) > 1e-17:
-        order += 1
-    return bound, tuple(1.0 / math.factorial(k) for k in range(order, 2, -1))
-
-
-# fewer terms for smaller |w|: 3 coefficients suffice below 1e-4, 13 below 0.5
-_EXPM1MX_TIERS = tuple(
-    _expm1mx_tier(bound) for bound in (1e-4, 1e-3, 1e-2, 0.05, 0.15, _EXPM1MX_SERIES_MAX)
-)
-
-
 def stirlerr(n: int) -> float:
     """Stirling's error ln(n!) - [(n + 1/2) ln n - n + ln(2 pi)/2], integer n >= 1."""
     if n <= 15:
@@ -132,16 +114,16 @@ def stirlerr(n: int) -> float:
 
 def expm1mx(w: float) -> float:
     """expm1(w) - w = w^2/2! + w^3/3! + ..., to a few ulps relative."""
-    size = abs(w)
-    if size >= _EXPM1MX_SERIES_MAX:
+    if abs(w) >= _EXPM1MX_SERIES_MAX:
         return math.expm1(w) - w
-    for bound, coeffs in _EXPM1MX_TIERS:
-        if size < bound:
-            break
-    acc = 0.0
-    for coeff in coeffs:
-        acc = acc * w + coeff
-    return w * w * (0.5 + w * acc)
+    # the series to w^15/15! in Horner form, written out because a loop
+    # over the coefficients costs more than the arithmetic; the first term
+    # left out, w^16/16!, is below 1e-17 of w^2/2 for |w| < 0.5
+    acc = 1 / 39916800 + w * (1 / 479001600 + w * (1 / 6227020800 + w * (
+        1 / 87178291200 + w * (1 / 1307674368000))))
+    acc = 1 / 120 + w * (1 / 720 + w * (1 / 5040 + w * (1 / 40320 + w * (
+        1 / 362880 + w * (1 / 3628800 + w * acc)))))
+    return w * w * (1 / 2 + w * (1 / 6 + w * (1 / 24 + w * acc)))
 
 
 def reg_gamma(s: float, x: float) -> RegGammaResult:

@@ -174,12 +174,12 @@ class TestDesignCommand:
         assert values["0.05"] >= values["0.2"]
 
 
-def test_closed_form_commands_load_neither_numpy_nor_openssl(tmp_path):
+def test_closed_form_commands_do_not_load_numpy(tmp_path):
     script = (
         "import sys, covertpilot.cli as cli\n"
         "for command in ('design', 'fig3', 'sweep'):\n"
         f"    assert cli.main([command, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-        "print(sorted({'numpy', '_hashlib'} & set(sys.modules)))\n"
+        "print('numpy' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(covertpilot.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -187,7 +187,7 @@ def test_closed_form_commands_load_neither_numpy_nor_openssl(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestFigureCommands:
