@@ -341,7 +341,7 @@ def cmd_fig2(args) -> int:
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
-        rho = solve_rho_star(cfg)
+        rho = solve_rho_star(cfg).rho
         best, _, _ = np_star(cfg, rho)
         for n_p in range(1, cfg.n):
             gamma = effective_sinr_equal_power(cfg, rho, n_p)
@@ -361,7 +361,7 @@ def cmd_fig3(args) -> int:
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
             cfg = system_config(resolved, n=n, epsilon=epsilon)
-            rho = solve_rho_star(cfg)
+            rho = solve_rho_star(cfg).rho
             best, _, _ = np_star(cfg, rho)
             rows.append([epsilon, n, best, best / n, digest])
     _write_csv(

@@ -37,6 +37,15 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class PowerSolve:
+    """The covert power and how the solve reached it."""
+
+    rho: float
+    margin: float  # covert margin V = 1 - xi* at rho, <= epsilon
+    iterations: int  # covert_margin evaluations
+
+
+@dataclass(frozen=True)
 class DesignResult:
     """Output of the full design optimization."""
 
@@ -70,8 +79,8 @@ def _warm_start(n: int, epsilon: float) -> float:
     return 2.0 * math.sqrt(2.0) * u / math.sqrt(n) * (1.0 + 1.0 / (12.0 * n))
 
 
-def _solve_power(cfg: SystemConfig) -> Tuple[float, float, int]:
-    """(rho*, V(rho*), covert_margin evaluations) for the covertness target.
+def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
+    """Largest average power meeting the covertness target.
 
     Solves V(s) = epsilon for the warden SNR s, where V = 1 - xi* rises
     strictly with s, by Newton steps on ln V - ln epsilon in t = ln s,
@@ -80,7 +89,8 @@ def _solve_power(cfg: SystemConfig) -> Tuple[float, float, int]:
     Every evaluation narrows a bracket in t; a step that would leave it
     bisects it instead.  The lower end s = 2 epsilon / sqrt(n) is
     certified by Pinsker's inequality, since the divergence is below
-    n s^2 / 2.  Returns rho* = s* sigma_w2.
+    n s^2 / 2.  Returns rho* = s* sigma_w2 with V(s*) and the number of
+    covert_margin evaluations.
     """
     n, epsilon = cfg.n, cfg.epsilon
     log_eps = math.log(epsilon)
@@ -93,7 +103,7 @@ def _solve_power(cfg: SystemConfig) -> Tuple[float, float, int]:
         margin, slope = covert_margin(n, s)
         residual = margin / epsilon - 1.0
         if -MARGIN_REL_TOL <= residual <= 0.0:
-            return s * cfg.sigma_w2, margin, iteration
+            return PowerSolve(rho=s * cfg.sigma_w2, margin=margin, iterations=iteration)
         if residual < 0.0:
             t_lo = max(t_lo, t)
         else:
@@ -109,11 +119,6 @@ def _solve_power(cfg: SystemConfig) -> Tuple[float, float, int]:
         f"covert power solve did not converge in {_MAX_ITERATIONS} iterations for "
         f"n={n}, epsilon={epsilon!r}: SNR bracket [{math.exp(t_lo)!r}, {math.exp(t_hi)!r}]"
     )
-
-
-def solve_rho_star(cfg: SystemConfig) -> float:
-    """Largest average power meeting the covertness target: xi*(rho*) >= 1 - epsilon."""
-    return _solve_power(cfg)[0]
 
 
 def np_continuous(cfg: SystemConfig, rho_star: float) -> float:
@@ -172,7 +177,8 @@ def np_sensitivity(cfg: SystemConfig, rho: float) -> float:
 
 def design(cfg: SystemConfig) -> DesignResult:
     """Full covert design: solve the power, then the pilot count."""
-    rho_star, margin, iterations = _solve_power(cfg)
+    power = solve_rho_star(cfg)
+    rho_star = power.rho
     best, np_ceil, np_floor = np_star(cfg, rho_star)
     alloc = PowerAllocation.equal_power(cfg.n, rho_star, best)
     return DesignResult(
@@ -180,9 +186,9 @@ def design(cfg: SystemConfig) -> DesignResult:
         np_continuous=np_continuous(cfg, rho_star),
         np_star=best,
         gamma_eff_star=effective_sinr(cfg, alloc),
-        xi_star_achieved=1.0 - margin,
+        xi_star_achieved=1.0 - power.margin,
         np_ceil=np_ceil,
         np_floor=np_floor,
-        solver_iterations=iterations,
-        solver_residual=margin / cfg.epsilon - 1.0,
+        solver_iterations=power.iterations,
+        solver_residual=power.margin / cfg.epsilon - 1.0,
     )

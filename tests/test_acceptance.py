@@ -144,7 +144,7 @@ def test_criterion_4_power_solver_round_trip():
             previous = 0.0
             for eps in (0.01, 0.05, 0.1, 0.2):
                 cfg = make_cfg(n=n, eps=eps)
-                rho = solve_rho_star(cfg)
+                rho = solve_rho_star(cfg).rho
                 assert abs(min_detection_error(cfg, rho).xi_star - (1.0 - eps)) < 1e-9
                 assert rho > previous
                 previous = rho
@@ -175,7 +175,7 @@ def test_criterion_6_pilot_count_trends():
         for n in slots:
             for eps in epsilons:
                 cfg = make_cfg(n=n, eps=eps)
-                table[(n, eps)] = np_star(cfg, solve_rho_star(cfg))[0]
+                table[(n, eps)] = np_star(cfg, solve_rho_star(cfg).rho)[0]
         for n in slots:
             counts = [table[(n, eps)] for eps in epsilons]
             assert all(b <= a for a, b in zip(counts, counts[1:]))

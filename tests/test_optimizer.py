@@ -27,18 +27,18 @@ def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
 class TestRhoSolver:
     def test_round_trip_against_detection_error(self):
         cfg = make_cfg(n=100, eps=0.1)
-        rho = solve_rho_star(cfg)
+        rho = solve_rho_star(cfg).rho
         assert abs(min_detection_error(cfg, rho).xi_star - 0.9) < 1e-9
 
     def test_monotone_in_epsilon(self):
-        loose = solve_rho_star(make_cfg(eps=0.2))
-        tight = solve_rho_star(make_cfg(eps=0.1))
+        loose = solve_rho_star(make_cfg(eps=0.2)).rho
+        tight = solve_rho_star(make_cfg(eps=0.1)).rho
         assert loose > tight
 
     def test_monotone_on_epsilon_grid(self):
         for n in (50, 100, 500):
             values = [
-                solve_rho_star(make_cfg(n=n, eps=e)) for e in np.arange(0.01, 0.31, 0.01)
+                solve_rho_star(make_cfg(n=n, eps=e)).rho for e in np.arange(0.01, 0.31, 0.01)
             ]
             assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -53,9 +53,9 @@ class TestRhoSolver:
         # a doubled slope halves each Newton step, so the iterates creep down
         # to epsilon from above and pass through the band's infeasible half
         monkeypatch.setattr(optimizer, "covert_margin", lambda n, s: (s, 2.0))
-        _, margin, iterations = optimizer._solve_power(make_cfg(n=5, eps=0.01))
-        assert 0.01 * (1.0 - MARGIN_REL_TOL) <= margin <= 0.01
-        assert iterations > 5
+        solve = solve_rho_star(make_cfg(n=5, eps=0.01))
+        assert 0.01 * (1.0 - MARGIN_REL_TOL) <= solve.margin <= 0.01
+        assert solve.iterations > 5
 
     def test_feasible_and_tight_over_the_scale_range(self):
         rng = np.random.default_rng(25)
@@ -63,25 +63,25 @@ class TestRhoSolver:
         for _ in range(400):
             n = int(10 ** rng.uniform(np.log10(2), 8))
             eps = float(10 ** rng.uniform(-9, np.log10(0.3)))
-            rho, margin, count = optimizer._solve_power(make_cfg(n=n, eps=eps))
-            assert covert_margin(n, rho)[0] == margin
-            assert eps * (1.0 - MARGIN_REL_TOL) <= margin <= eps
-            assert 1 <= count <= 5
-            iterations.append(count)
+            solve = solve_rho_star(make_cfg(n=n, eps=eps))
+            assert covert_margin(n, solve.rho)[0] == solve.margin
+            assert eps * (1.0 - MARGIN_REL_TOL) <= solve.margin <= eps
+            assert 1 <= solve.iterations <= 5
+            iterations.append(solve.iterations)
         # the square-root-law start leaves about two Newton evaluations
         assert np.mean(iterations) <= 2.5
 
     def test_snr_is_invariant_to_the_noise_scale(self):
-        base = solve_rho_star(make_cfg(n=1000, eps=1e-3))
+        base = solve_rho_star(make_cfg(n=1000, eps=1e-3)).rho
         for exponent in range(-30, 31, 5):
             sw2 = 10.0 ** exponent
-            rho = solve_rho_star(make_cfg(n=1000, sw2=sw2, eps=1e-3))
+            rho = solve_rho_star(make_cfg(n=1000, sw2=sw2, eps=1e-3)).rho
             assert rho / sw2 == pytest.approx(base, rel=1e-15, abs=0)
 
     def test_loose_covertness_near_one(self):
         for n in (2, 3, 10, 100):
             for eps in (0.5, 0.9, 0.99, 0.999999):
-                _, margin, _ = optimizer._solve_power(make_cfg(n=n, eps=eps))
+                margin = solve_rho_star(make_cfg(n=n, eps=eps)).margin
                 assert eps * (1.0 - MARGIN_REL_TOL) <= margin <= eps
 
 
@@ -213,11 +213,11 @@ class TestDesign:
     def test_reports_the_solve(self):
         cfg = make_cfg(n=100, eps=0.1)
         result = design(cfg)
-        rho, margin, iterations = optimizer._solve_power(cfg)
-        assert result.rho_star == rho == solve_rho_star(cfg)
-        assert result.xi_star_achieved == 1.0 - margin
-        assert result.solver_iterations == iterations
-        assert result.solver_residual == margin / 0.1 - 1.0
+        solve = solve_rho_star(cfg)
+        assert result.rho_star == solve.rho
+        assert result.xi_star_achieved == 1.0 - solve.margin
+        assert result.solver_iterations == solve.iterations
+        assert result.solver_residual == solve.margin / 0.1 - 1.0
         assert -MARGIN_REL_TOL <= result.solver_residual <= 0.0
 
     def test_tighter_covertness_needs_more_pilots(self):
