@@ -55,40 +55,8 @@ _POWER_KEYS = {"sigma_b2", "sigma_w2", "rho", "rho_min", "rho_max"}
 # caption-fidelity annotation keys: accepted, warned about, never used
 _ANNOTATION_KEYS = {"tau"}
 
-
-def _grid(start: float, stop: float, step: float) -> List[float]:
-    count = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 12) for i in range(count)]
-
-
-# defaults are typed and always linear-scale; the units flag applies only
-# to values read from a config file
-_SYSTEM_DEFAULTS: Dict[str, object] = {
-    "n": 100,
-    "lambda_ab": 1.0,
-    "sigma_b2": 1.0,
-    "sigma_w2": 1.0,
-    "epsilon": 0.1,
-}
-
-_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "design": {},
-    "fig1": {
-        "rho": 0.05,
-        "np_values": [20, 50],
-        "eta_grid": _grid(0.05, 0.95, 0.05),
-        "trials": 100_000,
-    },
-    "fig2": {"epsilon_values": [0.05, 0.1, 0.2]},
-    "fig3": {"epsilon_grid": _grid(0.02, 0.30, 0.02), "n_values": [100, 200, 400]},
-    "sweep": {"rho_min": 0.001, "rho_max": 1.0, "rho_points": 50, "n_p": 20},
-    "verify": {"rho": 0.05, "n_p": 20, "trials": 200_000},
-}
-
-_VALID_KEYS: Dict[str, set] = {
-    "system": set(_SYSTEM_DEFAULTS) | {"seed"},
-    **{cmd: set(defaults) for cmd, defaults in _COMMAND_DEFAULTS.items()},
-}
+# largest start:stop:step grid a config may ask for
+_MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -159,11 +127,51 @@ def _parse_grid(key: str, raw: str) -> List[float]:
         if len(parts) != 3:
             raise ConfigError(f"config key '{key}': grid must be start:stop:step")
         start, stop, step = (_parse_float(key, p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ConfigError(f"config key '{key}': grid bounds are not increasing")
-        count = int(round((stop - start) / step)) + 1
+        intervals = (stop - start) / step
+        # refuses inf and nan as well
+        if not intervals < _MAX_GRID_POINTS - 0.5:
+            raise ConfigError(
+                f"config key '{key}': grid {raw!r} has more than "
+                f"{_MAX_GRID_POINTS} points"
+            )
+        count = int(round(intervals)) + 1
         return [round(start + i * step, 12) for i in range(count)]
     return _parse_list(key, raw, lambda k, item: _parse_float(k, item))
+
+
+# defaults are typed and always linear-scale; the units flag applies only
+# to values read from a config file
+_SYSTEM_DEFAULTS: Dict[str, object] = {
+    "n": 100,
+    "lambda_ab": 1.0,
+    "sigma_b2": 1.0,
+    "sigma_w2": 1.0,
+    "epsilon": 0.1,
+}
+
+_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "design": {},
+    "fig1": {
+        "rho": 0.05,
+        "np_values": [20, 50],
+        "eta_grid": _parse_grid("eta_grid", "0.05:0.95:0.05"),
+        "trials": 100_000,
+    },
+    "fig2": {"epsilon_values": [0.05, 0.1, 0.2]},
+    "fig3": {
+        "epsilon_grid": _parse_grid("epsilon_grid", "0.02:0.30:0.02"),
+        "n_values": [100, 200, 400],
+    },
+    "sweep": {"rho_min": 0.001, "rho_max": 1.0, "rho_points": 50, "n_p": 20},
+    "verify": {"rho": 0.05, "n_p": 20, "trials": 200_000},
+}
+
+_VALID_KEYS: Dict[str, set] = {
+    "system": set(_SYSTEM_DEFAULTS) | {"seed"},
+    **{cmd: set(defaults) for cmd, defaults in _COMMAND_DEFAULTS.items()},
+}
 
 
 def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
@@ -422,13 +430,13 @@ def cmd_verify(args) -> int:
     bob_analytic = sinr(cfg, alloc)
     diag = bob_estimation_diagnostics(cfg, alloc, mc)
 
-    def z_score(simulated: float, expected: float, std_err: float) -> float:
-        return (simulated - expected) / std_err if std_err > 0 else 0.0
-
     checks: List[Tuple[str, float, float, float, float, bool]] = []
 
     def add_check(name, simulated, expected, std_err, max_z):
-        z = z_score(simulated, expected, std_err)
+        # an estimate never resolves below one trial in T, so a zero
+        # count does not make its standard error, and every z, vanish
+        std_err = max(std_err, 1.0 / mc.trials)
+        z = (simulated - expected) / std_err
         checks.append((name, simulated, expected, std_err, z, abs(z) <= max_z))
 
     add_check("radiometer_alpha", rates.alpha.value, analytic.alpha, rates.alpha.std_err, 3.0)

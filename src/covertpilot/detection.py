@@ -17,9 +17,6 @@ from typing import Optional, Tuple
 from .link_model import PowerAllocation, SystemConfig
 from .specfun import expm1mx, reg_lower_gamma, stirlerr
 
-# relative power mismatch below which an allocation counts as equal-power
-EQUAL_POWER_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DetectionReport:
@@ -223,7 +220,7 @@ def detection_report(cfg: SystemConfig, alloc: PowerAllocation) -> DetectionRepo
     only when the pilot and data powers match.
     """
     d01 = kl_divergence(cfg, alloc)
-    if alloc.rho > 0 and alloc.is_equal_power(EQUAL_POWER_REL_TOL):
+    if alloc.rho > 0 and alloc.is_equal_power():
         report = min_detection_error(cfg, alloc.rho)
         return DetectionReport(
             d01=d01,

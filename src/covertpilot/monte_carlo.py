@@ -3,10 +3,14 @@
 The warden's detectors (energy detector and likelihood ratio test) are
 functions of the received energy in the pilot and data segments, and the
 sum of k iid squared magnitudes of CN(0, v) samples is Gamma(k, v), so
-the hot path draws segment energies directly.  Bob's MMSE estimate
-depends on the pilot observations only through their average, whose
-noise term is CN(0, sigma_b2 / n_p), so that average is drawn directly
-as well.  Sample-level observation vectors remain available through
+the hot path draws segment energies directly.  At equal power both
+detectors read only the total energy, and one Gamma(n) draw per trial
+serves both hypotheses: the H1 total is the H0 total scaled by
+1 + rho / sigma_w2.  Bob's MMSE estimate depends on the pilot
+observations only through their average, whose noise term is
+CN(0, sigma_b2 / n_p), so that average is drawn directly as well, in one
+pass that feeds both the SINR estimate and the estimation diagnostics.
+Sample-level observation vectors remain available through
 draw_willie_observation for model-level checks.
 
 Determinism: trials are processed in fixed-size chunks and every chunk
@@ -21,6 +25,7 @@ closed-form commands never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,6 +35,9 @@ from .link_model import PowerAllocation, SystemConfig
 
 if TYPE_CHECKING:
     import numpy as np
+
+    # (pilot, data) energies; the data energy is 0.0 when the draw is coupled
+    _Energies = Tuple[np.ndarray, Union[np.ndarray, float]]
 
 CHUNK_TRIALS = 1 << 14
 MIN_TRIALS = 1_000
@@ -48,7 +56,6 @@ class McConfig:
 
     trials: int
     seed: int
-    prior_h1: float = 0.5
 
     def __post_init__(self):
         if not isinstance(self.trials, numbers.Integral) or self.trials < MIN_TRIALS:
@@ -58,8 +65,6 @@ class McConfig:
             )
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (0.0 < self.prior_h1 < 1.0):
-            raise ValueError(f"prior_h1 must lie in (0, 1), got {self.prior_h1!r}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ def _decides_h1(
     cfg: SystemConfig,
     alloc: PowerAllocation,
     pilot_energy: np.ndarray,
-    data_energy: np.ndarray,
+    data_energy: Union[np.ndarray, float],
 ) -> np.ndarray:
     sw2 = cfg.sigma_w2
     if isinstance(detector, Radiometer):
@@ -204,18 +209,25 @@ def _draw_segment_energies(
     cfg: SystemConfig,
     alloc: PowerAllocation,
     size: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Segment energies for `size` trials under H0 and H1.
+) -> Tuple[_Energies, _Energies]:
+    """(pilot, data) segment energies for `size` trials under H0 and under H1.
 
-    Draw order is fixed (H0 pilot, H0 data, H1 pilot, H1 data) so that
-    every consumer of a chunk stream sees identical samples.
+    At equal power the detectors read only the total, so one Gamma(n)
+    draw per trial gives the H0 total E0 = sigma_w2 G, carried as the
+    pilot energy next to a zero data energy, and the H1 total is
+    (1 + rho / sigma_w2) E0.  Otherwise the draw order is fixed (H0
+    pilot, H0 data, H1 pilot, H1 data).  Either way every consumer of a
+    chunk stream sees identical samples.
     """
     sw2 = cfg.sigma_w2
+    if alloc.is_equal_power():
+        total_h0 = sw2 * rng.standard_gamma(cfg.n, size)
+        return (total_h0, 0.0), ((1.0 + alloc.rho / sw2) * total_h0, 0.0)
     e_pilot_h0 = rng.gamma(alloc.n_p, sw2, size)
     e_data_h0 = rng.gamma(alloc.n_d, sw2, size)
     e_pilot_h1 = rng.gamma(alloc.n_p, alloc.rho_p + sw2, size)
     e_data_h1 = rng.gamma(alloc.n_d, alloc.rho_d + sw2, size)
-    return e_pilot_h0, e_data_h0, e_pilot_h1, e_data_h1
+    return (e_pilot_h0, e_data_h0), (e_pilot_h1, e_data_h1)
 
 
 def simulate_willie(
@@ -226,9 +238,13 @@ def simulate_willie(
 ) -> WillieErrorRates:
     """Empirical false alarm, missed detection, and total error rates.
 
-    Runs mc.trials independent slots under each hypothesis and applies
-    the detector.  xi = alpha + beta; its standard error combines the two
-    binomial errors in quadrature.
+    Runs mc.trials slots under each hypothesis and applies the detector;
+    xi = alpha + beta.  At equal power the two hypotheses
+    share one draw, whose H1 energy is never below its H0 energy, and
+    both detectors increase with the energy, so a false alarm and a miss
+    never fall on one trial: xi is then a binomial proportion.  With
+    independent draws its standard error combines the two binomial
+    errors in quadrature.
     """
     import numpy as np
 
@@ -240,16 +256,19 @@ def simulate_willie(
     missed = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        ep0, ed0, ep1, ed1 = _draw_segment_energies(rng, cfg, alloc, size)
-        false_alarms += int(np.count_nonzero(_decides_h1(detector, cfg, alloc, ep0, ed0)))
-        missed += int(np.count_nonzero(~_decides_h1(detector, cfg, alloc, ep1, ed1)))
+        h0, h1 = _draw_segment_energies(rng, cfg, alloc, size)
+        false_alarms += int(np.count_nonzero(_decides_h1(detector, cfg, alloc, *h0)))
+        missed += int(np.count_nonzero(~_decides_h1(detector, cfg, alloc, *h1)))
     alpha = _prob_estimate(false_alarms, mc.trials)
     beta = _prob_estimate(missed, mc.trials)
-    xi = McEstimate(
-        value=alpha.value + beta.value,
-        std_err=math.hypot(alpha.std_err, beta.std_err),
-        trials=mc.trials,
-    )
+    if alloc.is_equal_power():
+        xi = _prob_estimate(false_alarms + missed, mc.trials)
+    else:
+        xi = McEstimate(
+            value=alpha.value + beta.value,
+            std_err=math.hypot(alpha.std_err, beta.std_err),
+            trials=mc.trials,
+        )
     return WillieErrorRates(alpha=alpha, beta=beta, xi=xi)
 
 
@@ -270,10 +289,9 @@ def count_detector_disagreements(
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        ep0, ed0, ep1, ed1 = _draw_segment_energies(rng, cfg, alloc, size)
-        for ep, ed in ((ep0, ed0), (ep1, ed1)):
-            a = _decides_h1(detector_a, cfg, alloc, ep, ed)
-            b = _decides_h1(detector_b, cfg, alloc, ep, ed)
+        for energies in _draw_segment_energies(rng, cfg, alloc, size):
+            a = _decides_h1(detector_a, cfg, alloc, *energies)
+            b = _decides_h1(detector_b, cfg, alloc, *energies)
             disagreements += int(np.count_nonzero(a != b))
     return disagreements
 
@@ -300,6 +318,54 @@ def _draw_bob_trial(
     return h, gain * z
 
 
+def _bob_terms(
+    h: np.ndarray, h_hat: np.ndarray, rho_d: float, sigma_b2: float
+) -> Iterator[np.ndarray]:
+    """Per-trial terms one at a time: the SINR's five, then the diagnostics' eight."""
+    import numpy as np
+
+    err = h - h_hat
+    hh = np.abs(h_hat) ** 2
+    ee = np.abs(err) ** 2
+    signal = rho_d * hh
+    interference = rho_d * ee + sigma_b2
+    yield signal
+    yield interference
+    yield signal * signal
+    yield interference * interference
+    yield signal * interference
+    yield hh
+    yield hh * hh
+    yield ee
+    yield ee * ee
+    cross = h_hat * np.conj(err)
+    yield cross.real
+    yield cross.real**2
+    yield cross.imag
+    yield cross.imag**2
+
+
+@functools.lru_cache(maxsize=1)
+def _bob_sums(
+    cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
+) -> Tuple[float, ...]:
+    """Sums of _bob_terms over one pass of the Bob stream, shared by its two consumers.
+
+    Memoised on its frozen inputs, so simulate_bob_sinr and
+    bob_estimation_diagnostics on one (cfg, alloc, mc) draw the stream
+    once between them.
+    """
+    import numpy as np
+
+    sums = [0.0] * 13
+    for chunk, size in _chunks(mc.trials):
+        rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
+        h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
+        for k, term in enumerate(_bob_terms(h, h_hat, alloc.rho_d, cfg.sigma_b2)):
+            sums[k] += float(np.sum(term))
+    return tuple(sums)
+
+
 def simulate_bob_sinr(
     cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
 ) -> McEstimate:
@@ -311,23 +377,11 @@ def simulate_bob_sinr(
     rho_d |h - h_hat|^2 + sigma_b2.  Returns the ratio of means with a
     delta-method standard error.
     """
-    import numpy as np
-
     if alloc.n != cfg.n:
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
         )
-    sum_s = sum_i = sum_ss = sum_ii = sum_si = 0.0
-    for chunk, size in _chunks(mc.trials):
-        rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
-        h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
-        signal = alloc.rho_d * np.abs(h_hat) ** 2
-        interference = alloc.rho_d * np.abs(h - h_hat) ** 2 + cfg.sigma_b2
-        sum_s += float(np.sum(signal))
-        sum_i += float(np.sum(interference))
-        sum_ss += float(np.sum(signal * signal))
-        sum_ii += float(np.sum(interference * interference))
-        sum_si += float(np.sum(signal * interference))
+    sum_s, sum_i, sum_ss, sum_ii, sum_si = _bob_sums(cfg, alloc, mc)[:5]
     trials = mc.trials
     mean_s = sum_s / trials
     mean_i = sum_i / trials
@@ -343,31 +397,13 @@ def bob_estimation_diagnostics(
 ) -> BobEstimationDiagnostics:
     """Empirical estimate/error variances and their normalized correlation.
 
-    Uses the same substreams as simulate_bob_sinr.  The correlation of
-    h_hat with h - h_hat is zero for an MMSE split; both its components
-    are reported with standard errors for that check.
+    Reads the same pass over the Bob stream as simulate_bob_sinr.  The
+    correlation of h_hat with h - h_hat is zero for an MMSE split; both
+    its components are reported with standard errors for that check.
     """
-    import numpy as np
-
-    sum_hh = sum_hh2 = 0.0
-    sum_ee = sum_ee2 = 0.0
-    sum_cre = sum_cre2 = 0.0
-    sum_cim = sum_cim2 = 0.0
-    for chunk, size in _chunks(mc.trials):
-        rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
-        h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
-        err = h - h_hat
-        hh = np.abs(h_hat) ** 2
-        ee = np.abs(err) ** 2
-        cross = h_hat * np.conj(err)
-        sum_hh += float(np.sum(hh))
-        sum_hh2 += float(np.sum(hh * hh))
-        sum_ee += float(np.sum(ee))
-        sum_ee2 += float(np.sum(ee * ee))
-        sum_cre += float(np.sum(cross.real))
-        sum_cre2 += float(np.sum(cross.real**2))
-        sum_cim += float(np.sum(cross.imag))
-        sum_cim2 += float(np.sum(cross.imag**2))
+    sum_hh, sum_hh2, sum_ee, sum_ee2, sum_cre, sum_cre2, sum_cim, sum_cim2 = (
+        _bob_sums(cfg, alloc, mc)[5:]
+    )
     t = mc.trials
 
     def moment_estimate(total: float, total_sq: float) -> McEstimate:

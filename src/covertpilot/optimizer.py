@@ -160,19 +160,23 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
 def np_sensitivity(cfg: SystemConfig, rho: float) -> float:
     """Derivative of the continuous pilot count with respect to the power.
 
-        - sigma_b2 [2 kappa + n rho lambda - 2 sqrt(kappa (kappa + n rho lambda))]
+        - sigma_b2 (sqrt(kappa + n rho lambda) - sqrt(kappa))^2
           / (2 lambda rho^2 sqrt(kappa (kappa + n rho lambda)))
 
-    Strictly negative: raising the power always lowers the pilot optimum.
+    with kappa = lambda rho + sigma_b2.  The difference of square roots is
+    formed as n rho lambda / (sqrt(kappa + n rho lambda) + sqrt(kappa)),
+    so it does not cancel at low SNR.  Strictly negative: raising the
+    power always lowers the pilot optimum.
     """
     if not (rho > 0):
         raise ValueError(f"np_sensitivity requires rho > 0, got {rho!r}")
     lam = cfg.lambda_ab
     kappa = lam * rho + cfg.sigma_b2
-    root = math.sqrt(kappa * (kappa + cfg.n * lam * rho))
-    return -cfg.sigma_b2 * (2.0 * kappa + cfg.n * rho * lam - 2.0 * root) / (
-        2.0 * lam * rho * rho * root
-    )
+    gain = cfg.n * rho * lam
+    root_kappa = math.sqrt(kappa)
+    root_total = math.sqrt(kappa + gain)
+    gap = gain / (root_total + root_kappa)
+    return -cfg.sigma_b2 * gap * gap / (2.0 * lam * rho * rho * root_kappa * root_total)
 
 
 def design(cfg: SystemConfig) -> DesignResult:

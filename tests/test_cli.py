@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import covertpilot
+from covertpilot import cli
 from covertpilot.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
@@ -20,6 +22,7 @@ from covertpilot.cli import (
     linear_to_dbm,
     main,
 )
+from covertpilot.monte_carlo import McEstimate
 
 
 def read_csv(path):
@@ -107,6 +110,36 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys):
+        # about 9e11 points: building the list first would exhaust memory
+        config = tmp_path / "run.ini"
+        config.write_text("[fig1]\neta_grid = 0.05:0.95:1e-12\n")
+        assert main(["fig1", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "eta_grid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "raw,points",
+        [("0:9999:1", 10_000), ("0:10000:1", None), ("0:1:1e-320", None),
+         ("0:1:nan", None), ("nan:1:0.1", None), ("0:inf:1", None)],
+    )
+    def test_grid_size_cap(self, tmp_path, capsys, raw, points):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[fig3]\nepsilon_grid = {raw}\n")
+        args = build_parser().parse_args(["fig3", "--config", str(config)])
+        if points is None:
+            with pytest.raises(cli.ConfigError, match="epsilon_grid"):
+                cli.resolve_run_config(args, "fig3")
+        else:
+            grid = cli.resolve_run_config(args, "fig3")["epsilon_grid"]
+            assert len(grid) == points
+
+    def test_default_grids_come_from_the_grid_parser(self):
+        defaults = cli._COMMAND_DEFAULTS
+        assert defaults["fig1"]["eta_grid"] == [round(0.05 * k, 12) for k in range(1, 20)]
+        assert defaults["fig3"]["epsilon_grid"] == [round(0.02 * k, 12) for k in range(1, 16)]
 
     def test_kernel_failure_is_a_solver_exit(self, tmp_path, capsys):
         # the incomplete gamma series behind sweep's alpha and beta columns
@@ -254,3 +287,31 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "20000", "--out", str(out_a), "--seed", "1"]) == EXIT_OK
         assert main(["verify", "--trials", "20000", "--out", str(out_b), "--seed", "2"]) == EXIT_OK
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_zero_std_err_is_floored_at_one_trial(self, tmp_path):
+        # the radiometer never errs at this SNR, so every warden count is 0
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nn = 2000\n[verify]\nrho = 1.0\ntrials = 2000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        named = dict(zip(column(header, rows, "check", str), rows))
+        for check in ("radiometer_alpha", "radiometer_beta", "radiometer_xi"):
+            row = dict(zip(header, named[check]))
+            assert float(row["simulated"]) == 0.0
+            assert float(row["std_err"]) == 1.0 / 2000
+
+    def test_zero_std_err_cannot_pass_a_wrong_estimate(self, tmp_path, monkeypatch):
+        simulate_willie = cli.simulate_willie
+
+        def off_with_zero_std_err(*args):
+            rates = simulate_willie(*args)
+            alpha = McEstimate(rates.alpha.value + 0.01, 0.0, rates.alpha.trials)
+            return rates._replace(alpha=alpha)
+
+        monkeypatch.setattr(cli, "simulate_willie", off_with_zero_std_err)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--trials", "20000", "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, rows = read_csv(out)
+        assert dict(zip(column(header, rows, "check", str),
+                        column(header, rows, "passed", int)))["radiometer_alpha"] == 0

@@ -12,7 +12,9 @@ from covertpilot.detection import (
     optimal_threshold,
 )
 from covertpilot.link_model import PowerAllocation, SystemConfig, estimation_stats, sinr
+from covertpilot import monte_carlo
 from covertpilot.monte_carlo import (
+    CHUNK_TRIALS,
     LikelihoodRatioTest,
     McConfig,
     Radiometer,
@@ -142,6 +144,49 @@ class TestWillieDetection:
         assert max(xis, key=xis.get) == pytest.approx(0.8, abs=0.101)
 
 
+class TestCoupledWardenDraw:
+    def test_equal_power_scales_one_total_per_trial(self):
+        cfg = make_cfg(n=50, sw2=2.0)
+        alloc = PowerAllocation.equal_power(n=50, rho=0.3, n_p=10)
+        stream = monte_carlo._stream(5, 1, 0)
+        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000)
+        assert d0 == d1 == 0.0
+        assert np.array_equal(p0, 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
+        assert np.array_equal(p1, (1.0 + 0.3 / 2.0) * p0)
+
+    def test_unequal_power_keeps_four_split_draws(self):
+        cfg = make_cfg(n=50)
+        alloc = PowerAllocation(n=50, rho=0.3, eta=0.5, n_p=10)
+        h0, h1 = monte_carlo._draw_segment_energies(monte_carlo._stream(5, 1, 0), cfg, alloc, 100)
+        rng = monte_carlo._stream(5, 1, 0)
+        expected = [
+            rng.gamma(10, 1.0, 100),
+            rng.gamma(40, 1.0, 100),
+            rng.gamma(10, alloc.rho_p + 1.0, 100),
+            rng.gamma(40, alloc.rho_d + 1.0, 100),
+        ]
+        assert all(np.array_equal(a, b) for a, b in zip((*h0, *h1), expected))
+
+    @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
+    def test_equal_power_xi_is_one_binomial_proportion(self, detector):
+        # a false alarm and a miss never fall on one coupled trial
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
+        mc = McConfig(trials=30_000, seed=3)
+        rates = simulate_willie(cfg, alloc, mc, detector)
+        errors = round(rates.alpha.value * mc.trials) + round(rates.beta.value * mc.trials)
+        xi = errors / mc.trials
+        assert rates.xi.value == xi
+        assert rates.xi.std_err == math.sqrt(xi * (1.0 - xi) / mc.trials)
+
+    def test_unequal_power_xi_std_err_adds_in_quadrature(self):
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation(n=100, rho=0.05, eta=0.5, n_p=20)
+        rates = simulate_willie(cfg, alloc, McConfig(trials=30_000, seed=3), LikelihoodRatioTest())
+        assert rates.xi.value == rates.alpha.value + rates.beta.value
+        assert rates.xi.std_err == math.hypot(rates.alpha.std_err, rates.beta.std_err)
+
+
 class TestWillieObservation:
     def test_sample_vector_shape_and_energy(self):
         cfg = make_cfg(n=80)
@@ -222,3 +267,25 @@ class TestBobSimulation:
         stats = estimation_stats(cfg, alloc)
         assert abs(diag.var_h_hat.value - stats.var_h_hat) <= 4.0 * diag.var_h_hat.std_err
         assert abs(diag.var_h_tilde.value - stats.var_h_tilde) <= 4.0 * diag.var_h_tilde.std_err
+
+    def test_sinr_and_diagnostics_share_one_pass(self, monkeypatch):
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        mc = McConfig(trials=20_000, seed=53)
+        draws = []
+        draw = monte_carlo._draw_bob_trial
+
+        def counted(*args):
+            draws.append(args[-1])
+            return draw(*args)
+
+        monkeypatch.setattr(monte_carlo, "_draw_bob_trial", counted)
+        monte_carlo._bob_sums.cache_clear()
+        estimate = simulate_bob_sinr(cfg, alloc, mc)
+        diag = bob_estimation_diagnostics(cfg, alloc, mc)
+        assert draws == [CHUNK_TRIALS, mc.trials - CHUNK_TRIALS]
+        # a fresh pass for each gives the same bits as the shared one
+        monte_carlo._bob_sums.cache_clear()
+        assert bob_estimation_diagnostics(cfg, alloc, mc) == diag
+        monte_carlo._bob_sums.cache_clear()
+        assert simulate_bob_sinr(cfg, alloc, mc) == estimate

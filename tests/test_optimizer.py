@@ -195,6 +195,30 @@ class TestPilotSensitivity:
         fd = (np_continuous(cfg, 1.0 + h) - np_continuous(cfg, 1.0 - h)) / (2 * h)
         assert np_sensitivity(cfg, 1.0) == pytest.approx(fd, rel=1e-6)
 
+    def test_no_cancellation_at_low_snr(self):
+        # at n = 1000, rho = 1e-9 the bracket 2 kappa + n rho lambda -
+        # 2 sqrt(kappa (kappa + n rho lambda)) cancels to four digits
+        cases = (
+            (1000, 1.0, 1.0, 1e-9),
+            (1000, 1.0, 1.0, 1e-12),
+            (10**8, 1e-3, 1e6, 1e-15),
+            (100, 1.0, 1.0, 1.0),
+            (2, 4.0, 0.1, 5.0),
+        )
+        for n, lam, sb2, rho in cases:
+            cfg = make_cfg(n=n, lam=lam, sb2=sb2)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                lam, sb2, rho = Decimal(lam), Decimal(sb2), Decimal(rho)
+                kappa = lam * rho + sb2
+                root = (kappa * (kappa + n * rho * lam)).sqrt()
+                exact = -sb2 * (2 * kappa + n * rho * lam - 2 * root) / (
+                    2 * lam * rho * rho * root
+                )
+            assert np_sensitivity(cfg, float(rho)) == pytest.approx(
+                float(exact), rel=1e-12, abs=0
+            )
+
     def test_continuous_count_decreasing_in_power(self):
         cfg = make_cfg(n=200)
         rhos = np.linspace(0.01, 3.0, 200)
