@@ -284,8 +284,34 @@ class TestBobSimulation:
         estimate = simulate_bob_sinr(cfg, alloc, mc)
         diag = bob_estimation_diagnostics(cfg, alloc, mc)
         assert draws == [CHUNK_TRIALS, mc.trials - CHUNK_TRIALS]
-        # a fresh pass for each gives the same bits as the shared one
+        assert estimate == simulate_bob_sinr(cfg, alloc, mc)
+        assert diag == bob_estimation_diagnostics(cfg, alloc, mc)
+        assert len(draws) == 2
+
+    def test_shared_pass_sums_match_two_separate_passes(self):
+        # the SINR pass and the diagnostics pass as separate loops: the
+        # shared pass must reproduce every sum to the bit
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        mc = McConfig(trials=40_000, seed=59)
+        sinr_sums = [0.0] * 5
+        diag_sums = [0.0] * 8
+        for chunk, size in monte_carlo._chunks(mc.trials):
+            rng = monte_carlo._stream(mc.seed, 2, chunk)
+            h, h_hat = monte_carlo._draw_bob_trial(rng, cfg, alloc, size)
+            signal = alloc.rho_d * np.abs(h_hat) ** 2
+            interference = alloc.rho_d * np.abs(h - h_hat) ** 2 + cfg.sigma_b2
+            terms = (signal, interference, signal * signal,
+                     interference * interference, signal * interference)
+            for k, term in enumerate(terms):
+                sinr_sums[k] += float(np.sum(term))
+            err = h - h_hat
+            hh = np.abs(h_hat) ** 2
+            ee = np.abs(err) ** 2
+            cross = h_hat * np.conj(err)
+            terms = (hh, hh * hh, ee, ee * ee, cross.real, cross.real**2,
+                     cross.imag, cross.imag**2)
+            for k, term in enumerate(terms):
+                diag_sums[k] += float(np.sum(term))
         monte_carlo._bob_sums.cache_clear()
-        assert bob_estimation_diagnostics(cfg, alloc, mc) == diag
-        monte_carlo._bob_sums.cache_clear()
-        assert simulate_bob_sinr(cfg, alloc, mc) == estimate
+        assert monte_carlo._bob_sums(cfg, alloc, mc) == tuple(sinr_sums + diag_sums)

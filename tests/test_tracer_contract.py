@@ -19,14 +19,6 @@ TRACER_PATH = os.path.join(
 # so the optimizer stopped importing it; TARGETS still names it
 GONE = {("covertpilot.optimizer", "min_detection_error")}
 
-MC_FNS = (
-    "simulate_willie",
-    "count_detector_disagreements",
-    "simulate_bob_sinr",
-    "bob_estimation_diagnostics",
-)
-
-
 def load_tracer():
     spec = importlib.util.spec_from_file_location("covertpilot_bench_tracer", TRACER_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -47,8 +39,8 @@ def test_every_traced_name_resolves():
 def test_verify_calls_every_monte_carlo_name(tmp_path):
     bench = load_tracer()
     tracer = bench.Tracer()
-    targets = [t for t in bench.TARGETS if t[0] == "covertpilot.cli" and t[1] in MC_FNS]
-    assert len(targets) == len(MC_FNS)
+    targets = [t for t in bench.TARGETS if t[0] == "covertpilot.cli" and t[1] in bench.MC_FNS]
+    assert len(targets) == len(bench.MC_FNS)
     assert tracer.install(targets) == []
     try:
         out = tmp_path / "verify.csv"
@@ -56,4 +48,4 @@ def test_verify_calls_every_monte_carlo_name(tmp_path):
     finally:
         tracer.restore()
     called = {tracer.names[i] for i in tracer.columns["name"]}
-    assert called == {f"cli.{fn}" for fn in MC_FNS}
+    assert called == {f"cli.{fn}" for fn in bench.MC_FNS}
