@@ -433,15 +433,22 @@ def cmd_verify(args) -> int:
     checks: List[Tuple[str, float, float, float, float, bool]] = []
 
     def add_check(name, simulated, expected, std_err, max_z):
-        # an estimate never resolves below one trial in T, so a zero
-        # count does not make its standard error, and every z, vanish
-        std_err = max(std_err, 1.0 / mc.trials)
-        z = (simulated - expected) / std_err
+        diff = simulated - expected
+        if std_err > 0:
+            z = diff / std_err
+        else:
+            # a standard error lost to underflow leaves room for no deviation
+            z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
         checks.append((name, simulated, expected, std_err, z, abs(z) <= max_z))
 
-    add_check("radiometer_alpha", rates.alpha.value, analytic.alpha, rates.alpha.std_err, 3.0)
-    add_check("radiometer_beta", rates.beta.value, analytic.beta, rates.beta.std_err, 3.0)
-    add_check("radiometer_xi", rates.xi.value, analytic.xi_star, rates.xi.std_err, 3.0)
+    def add_rate_check(name, rate, expected):
+        # a count proportion never resolves below one trial in T, so a
+        # zero count does not make its standard error, and its z, vanish
+        add_check(name, rate.value, expected, max(rate.std_err, 1.0 / mc.trials), 3.0)
+
+    add_rate_check("radiometer_alpha", rates.alpha, analytic.alpha)
+    add_rate_check("radiometer_beta", rates.beta, analytic.beta)
+    add_rate_check("radiometer_xi", rates.xi, analytic.xi_star)
     checks.append((
         "lrt_vs_radiometer_disagreements",
         float(disagreements), 0.0, 0.0, float(disagreements), disagreements == 0,

@@ -209,18 +209,19 @@ def _draw_segment_energies(
     cfg: SystemConfig,
     alloc: PowerAllocation,
     size: int,
+    coupled: bool,
 ) -> Tuple[_Energies, _Energies]:
     """(pilot, data) segment energies for `size` trials under H0 and under H1.
 
-    At equal power the detectors read only the total, so one Gamma(n)
-    draw per trial gives the H0 total E0 = sigma_w2 G, carried as the
-    pilot energy next to a zero data energy, and the H1 total is
-    (1 + rho / sigma_w2) E0.  Otherwise the draw order is fixed (H0
-    pilot, H0 data, H1 pilot, H1 data).  Either way every consumer of a
-    chunk stream sees identical samples.
+    `coupled` is only for an equal-power allocation, where the detectors
+    read only the total: one Gamma(n) draw per trial gives the H0 total
+    E0 = sigma_w2 G, carried as the pilot energy next to a zero data
+    energy, and the H1 total is (1 + rho / sigma_w2) E0.  Otherwise the
+    draw order is fixed (H0 pilot, H0 data, H1 pilot, H1 data).  Either
+    way every consumer of a chunk stream sees identical samples.
     """
     sw2 = cfg.sigma_w2
-    if alloc.is_equal_power():
+    if coupled:
         total_h0 = sw2 * rng.standard_gamma(cfg.n, size)
         return (total_h0, 0.0), ((1.0 + alloc.rho / sw2) * total_h0, 0.0)
     e_pilot_h0 = rng.gamma(alloc.n_p, sw2, size)
@@ -252,16 +253,17 @@ def simulate_willie(
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
         )
+    coupled = alloc.is_equal_power()
     false_alarms = 0
     missed = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        h0, h1 = _draw_segment_energies(rng, cfg, alloc, size)
+        h0, h1 = _draw_segment_energies(rng, cfg, alloc, size, coupled)
         false_alarms += int(np.count_nonzero(_decides_h1(detector, cfg, alloc, *h0)))
         missed += int(np.count_nonzero(~_decides_h1(detector, cfg, alloc, *h1)))
     alpha = _prob_estimate(false_alarms, mc.trials)
     beta = _prob_estimate(missed, mc.trials)
-    if alloc.is_equal_power():
+    if coupled:
         xi = _prob_estimate(false_alarms + missed, mc.trials)
     else:
         xi = McEstimate(
@@ -286,10 +288,11 @@ def count_detector_disagreements(
     """
     import numpy as np
 
+    coupled = alloc.is_equal_power()
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        for energies in _draw_segment_energies(rng, cfg, alloc, size):
+        for energies in _draw_segment_energies(rng, cfg, alloc, size, coupled):
             a = _decides_h1(detector_a, cfg, alloc, *energies)
             b = _decides_h1(detector_b, cfg, alloc, *energies)
             disagreements += int(np.count_nonzero(a != b))
@@ -318,15 +321,10 @@ def _draw_bob_trial(
     return h, gain * z
 
 
-def _bob_terms(
-    h: np.ndarray, h_hat: np.ndarray, rho_d: float, sigma_b2: float
+def _sinr_terms(
+    hh: np.ndarray, ee: np.ndarray, rho_d: float, sigma_b2: float
 ) -> Iterator[np.ndarray]:
-    """Per-trial terms one at a time: the SINR's five, then the diagnostics' eight."""
-    import numpy as np
-
-    err = h - h_hat
-    hh = np.abs(h_hat) ** 2
-    ee = np.abs(err) ** 2
+    """Per-trial signal and interference terms of the SINR, one at a time."""
     signal = rho_d * hh
     interference = rho_d * ee + sigma_b2
     yield signal
@@ -334,6 +332,14 @@ def _bob_terms(
     yield signal * signal
     yield interference * interference
     yield signal * interference
+
+
+def _diag_terms(
+    h_hat: np.ndarray, err: np.ndarray, hh: np.ndarray, ee: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Per-trial estimate, error and cross terms of the diagnostics, one at a time."""
+    import numpy as np
+
     yield hh
     yield hh * hh
     yield ee
@@ -348,8 +354,8 @@ def _bob_terms(
 @functools.lru_cache(maxsize=1)
 def _bob_sums(
     cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
-) -> Tuple[float, ...]:
-    """Sums of _bob_terms over one pass of the Bob stream, shared by its two consumers.
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """(SINR sums, diagnostic sums) over one pass of the Bob stream.
 
     Memoised on its frozen inputs, so simulate_bob_sinr and
     bob_estimation_diagnostics on one (cfg, alloc, mc) draw the stream
@@ -357,13 +363,22 @@ def _bob_sums(
     """
     import numpy as np
 
-    sums = [0.0] * 13
+    def add(sums, terms):
+        # each term is summed and dropped before the next is built; the
+        # first chunk sets the count
+        parts = [float(np.sum(term)) for term in terms]
+        return [total + part for total, part in zip(sums or [0.0] * len(parts), parts)]
+
+    sinr_sums = diag_sums = []
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
         h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
-        for k, term in enumerate(_bob_terms(h, h_hat, alloc.rho_d, cfg.sigma_b2)):
-            sums[k] += float(np.sum(term))
-    return tuple(sums)
+        err = h - h_hat
+        hh = np.abs(h_hat) ** 2
+        ee = np.abs(err) ** 2
+        sinr_sums = add(sinr_sums, _sinr_terms(hh, ee, alloc.rho_d, cfg.sigma_b2))
+        diag_sums = add(diag_sums, _diag_terms(h_hat, err, hh, ee))
+    return tuple(sinr_sums), tuple(diag_sums)
 
 
 def simulate_bob_sinr(
@@ -381,7 +396,7 @@ def simulate_bob_sinr(
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
         )
-    sum_s, sum_i, sum_ss, sum_ii, sum_si = _bob_sums(cfg, alloc, mc)[:5]
+    (sum_s, sum_i, sum_ss, sum_ii, sum_si), _ = _bob_sums(cfg, alloc, mc)
     trials = mc.trials
     mean_s = sum_s / trials
     mean_i = sum_i / trials
@@ -401,8 +416,8 @@ def bob_estimation_diagnostics(
     correlation of h_hat with h - h_hat is zero for an MMSE split; both
     its components are reported with standard errors for that check.
     """
-    sum_hh, sum_hh2, sum_ee, sum_ee2, sum_cre, sum_cre2, sum_cim, sum_cim2 = (
-        _bob_sums(cfg, alloc, mc)[5:]
+    _, (sum_hh, sum_hh2, sum_ee, sum_ee2, sum_cre, sum_cre2, sum_cim, sum_cim2) = (
+        _bob_sums(cfg, alloc, mc)
     )
     t = mc.trials
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -300,6 +301,43 @@ class TestVerifyCommand:
             row = dict(zip(header, named[check]))
             assert float(row["simulated"]) == 0.0
             assert float(row["std_err"]) == 1.0 / 2000
+
+    def test_low_snr_bob_sinr_keeps_its_own_std_err(self, tmp_path, monkeypatch):
+        # Bob's SINR here is ~5e-20 and its standard error far below one
+        # trial in T, so flooring this row at 1/T would pass any estimate
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nsigma_b2 = 1e9\n[verify]\ntrials = 20000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        simulate_bob_sinr = cli.simulate_bob_sinr
+        seen = []
+
+        def off_by_ten_std_errs(*args):
+            estimate = simulate_bob_sinr(*args)
+            seen.append(estimate)
+            return dataclasses.replace(estimate, value=estimate.value + 10.0 * estimate.std_err)
+
+        monkeypatch.setattr(cli, "simulate_bob_sinr", off_by_ten_std_errs)
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
+        assert 0.0 < seen[0].std_err < 1e-3 / 20000
+        header, rows = read_csv(out)
+        row = dict(zip(header, dict(zip(column(header, rows, "check", str), rows))["bob_sinr"]))
+        assert row["passed"] == "0"
+        assert float(row["std_err"]) == seen[0].std_err
+
+    def test_zero_bob_std_err_fails_a_wrong_estimate(self, tmp_path, monkeypatch):
+        simulate_bob_sinr = cli.simulate_bob_sinr
+
+        def off_with_zero_std_err(*args):
+            estimate = simulate_bob_sinr(*args)
+            return dataclasses.replace(estimate, value=2.0 * estimate.value, std_err=0.0)
+
+        monkeypatch.setattr(cli, "simulate_bob_sinr", off_with_zero_std_err)
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--trials", "20000", "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, rows = read_csv(out)
+        row = dict(zip(header, dict(zip(column(header, rows, "check", str), rows))["bob_sinr"]))
+        assert (float(row["z_score"]), row["passed"]) == (float("inf"), "0")
 
     def test_zero_std_err_cannot_pass_a_wrong_estimate(self, tmp_path, monkeypatch):
         simulate_willie = cli.simulate_willie

@@ -149,7 +149,7 @@ class TestCoupledWardenDraw:
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.equal_power(n=50, rho=0.3, n_p=10)
         stream = monte_carlo._stream(5, 1, 0)
-        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000)
+        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000, True)
         assert d0 == d1 == 0.0
         assert np.array_equal(p0, 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
         assert np.array_equal(p1, (1.0 + 0.3 / 2.0) * p0)
@@ -157,7 +157,9 @@ class TestCoupledWardenDraw:
     def test_unequal_power_keeps_four_split_draws(self):
         cfg = make_cfg(n=50)
         alloc = PowerAllocation(n=50, rho=0.3, eta=0.5, n_p=10)
-        h0, h1 = monte_carlo._draw_segment_energies(monte_carlo._stream(5, 1, 0), cfg, alloc, 100)
+        h0, h1 = monte_carlo._draw_segment_energies(
+            monte_carlo._stream(5, 1, 0), cfg, alloc, 100, False
+        )
         rng = monte_carlo._stream(5, 1, 0)
         expected = [
             rng.gamma(10, 1.0, 100),
@@ -314,4 +316,4 @@ class TestBobSimulation:
             for k, term in enumerate(terms):
                 diag_sums[k] += float(np.sum(term))
         monte_carlo._bob_sums.cache_clear()
-        assert monte_carlo._bob_sums(cfg, alloc, mc) == tuple(sinr_sums + diag_sums)
+        assert monte_carlo._bob_sums(cfg, alloc, mc) == (tuple(sinr_sums), tuple(diag_sums))
