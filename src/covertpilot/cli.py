@@ -184,6 +184,14 @@ def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
             raise ConfigError(f"cannot read config file {path!r}: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}")
+    for section in parser.sections():
+        if section not in _VALID_KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+    if parser.defaults():
+        raise ConfigError(
+            f"config section [{parser.default_section}] is not supported; "
+            "put its keys in [system] or a subcommand section"
+        )
     return parser
 
 
@@ -192,7 +200,12 @@ def _collect_section(
 ) -> None:
     if not parser.has_section(section):
         return
-    for key, raw in parser.items(section):
+    for key in parser.options(section):
+        try:
+            raw = parser.get(section, key)
+        except configparser.Error as exc:
+            # e.g. a bare '%', which interpolation reads as a reference
+            raise ConfigError(f"config key '{key}' in section [{section}]: {exc}")
         if key in _ANNOTATION_KEYS:
             print(
                 f"note: config key '{key}' is an annotation and is ignored",
@@ -422,10 +435,11 @@ def cmd_verify(args) -> int:
 
     analytic = min_detection_error(cfg, rho)
     radiometer = Radiometer(threshold=analytic.tau_star)
-    rates = simulate_willie(cfg, alloc, mc, radiometer)
+    # one warden pass evaluates both detectors; the rates then read it
     disagreements = count_detector_disagreements(
-        cfg, alloc, mc, LikelihoodRatioTest(), radiometer
+        cfg, alloc, mc, radiometer, LikelihoodRatioTest()
     )
+    rates = simulate_willie(cfg, alloc, mc, radiometer)
     bob = simulate_bob_sinr(cfg, alloc, mc)
     bob_analytic = sinr(cfg, alloc)
     diag = bob_estimation_diagnostics(cfg, alloc, mc)

@@ -6,10 +6,14 @@ sum of k iid squared magnitudes of CN(0, v) samples is Gamma(k, v), so
 the hot path draws segment energies directly.  At equal power both
 detectors read only the total energy, and one Gamma(n) draw per trial
 serves both hypotheses: the H1 total is the H0 total scaled by
-1 + rho / sigma_w2.  Bob's MMSE estimate depends on the pilot
+1 + rho / sigma_w2.  One pass over the warden stream evaluates every
+detector a call names, and feeds both the error rates and the
+detector disagreement count.  Bob's MMSE estimate depends on the pilot
 observations only through their average, whose noise term is
 CN(0, sigma_b2 / n_p), so that average is drawn directly as well, in one
 pass that feeds both the SINR estimate and the estimation diagnostics.
+Each pass is memoised for the last (config, allocation, Monte Carlo
+settings), so a second reader of one stream draws nothing.
 Sample-level observation vectors remain available through
 draw_willie_observation for model-level checks.
 
@@ -29,7 +33,9 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union,
+)
 
 from .link_model import PowerAllocation, SystemConfig
 
@@ -193,8 +199,9 @@ def _decides_h1(
     if isinstance(detector, Radiometer):
         return (pilot_energy + data_energy) / cfg.n > detector.threshold
     if isinstance(detector, LikelihoodRatioTest):
-        w_p = 1.0 / sw2 - 1.0 / (alloc.rho_p + sw2)
-        w_d = 1.0 / sw2 - 1.0 / (alloc.rho_d + sw2)
+        # 1/sw2 - 1/(rho + sw2) without its cancellation at low SNR
+        w_p = alloc.rho_p / (sw2 * (alloc.rho_p + sw2))
+        w_d = alloc.rho_d / (sw2 * (alloc.rho_d + sw2))
         threshold = (
             alloc.n_p * math.log1p(alloc.rho_p / sw2)
             + alloc.n_d * math.log1p(alloc.rho_d / sw2)
@@ -231,6 +238,77 @@ def _draw_segment_energies(
     return (e_pilot_h0, e_data_h0), (e_pilot_h1, e_data_h1)
 
 
+class _WardenPass(NamedTuple):
+    """Counts from one pass over the warden substreams of (cfg, alloc, mc)."""
+
+    key: Tuple[SystemConfig, PowerAllocation, McConfig]
+    coupled: bool
+    errors: Dict[Detector, Tuple[int, int]]  # (false alarms, misses)
+    pair: FrozenSet[Detector]  # the first two detectors of the pass
+    disagreements: int  # trials, over both hypotheses, where they differ
+
+
+# the last warden pass, read again by any call it already answers
+_last_warden: Optional[_WardenPass] = None
+
+
+def _warden_counts(
+    cfg: SystemConfig,
+    alloc: PowerAllocation,
+    mc: McConfig,
+    detectors: Tuple[Detector, ...],
+) -> _WardenPass:
+    """Each detector's (false alarms, misses), and the disagreements of the first two.
+
+    One pass over the warden substreams evaluates every detector on the
+    same samples.  It is memoised: a call on the same (cfg, alloc, mc)
+    that asks only for detectors the last pass evaluated, and for the
+    disagreements of the same first two, reads that pass and draws
+    nothing.
+    """
+    global _last_warden
+    import numpy as np
+
+    if alloc.n != cfg.n:
+        raise ValueError(
+            f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
+        )
+    key = (cfg, alloc, mc)
+    pair = frozenset(detectors[:2])
+    last = _last_warden
+    if (
+        last is not None
+        and last.key == key
+        and last.errors.keys() >= set(detectors)
+        and (len(detectors) < 2 or last.pair == pair)
+    ):
+        return last
+    coupled = alloc.is_equal_power()
+    evaluated = tuple(dict.fromkeys(detectors))
+    errors = [[0, 0] for _ in evaluated]
+    disagreements = 0
+    for chunk, size in _chunks(mc.trials):
+        rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
+        for hypothesis, energies in enumerate(
+            _draw_segment_energies(rng, cfg, alloc, size, coupled)
+        ):
+            decisions = [_decides_h1(d, cfg, alloc, *energies) for d in evaluated]
+            for counts, decides in zip(errors, decisions):
+                h1_decisions = int(np.count_nonzero(decides))
+                # an error decides H1 under H0, or H0 under H1
+                counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
+            if len(decisions) > 1:
+                disagreements += int(np.count_nonzero(decisions[0] != decisions[1]))
+    _last_warden = _WardenPass(
+        key=key,
+        coupled=coupled,
+        errors={d: tuple(counts) for d, counts in zip(evaluated, errors)},
+        pair=pair,
+        disagreements=disagreements,
+    )
+    return _last_warden
+
+
 def simulate_willie(
     cfg: SystemConfig,
     alloc: PowerAllocation,
@@ -245,25 +323,14 @@ def simulate_willie(
     both detectors increase with the energy, so a false alarm and a miss
     never fall on one trial: xi is then a binomial proportion.  With
     independent draws its standard error combines the two binomial
-    errors in quadrature.
+    errors in quadrature.  Reads the last warden pass when that pass
+    already evaluated the detector on the same (cfg, alloc, mc).
     """
-    import numpy as np
-
-    if alloc.n != cfg.n:
-        raise ValueError(
-            f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
-        )
-    coupled = alloc.is_equal_power()
-    false_alarms = 0
-    missed = 0
-    for chunk, size in _chunks(mc.trials):
-        rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        h0, h1 = _draw_segment_energies(rng, cfg, alloc, size, coupled)
-        false_alarms += int(np.count_nonzero(_decides_h1(detector, cfg, alloc, *h0)))
-        missed += int(np.count_nonzero(~_decides_h1(detector, cfg, alloc, *h1)))
+    counts = _warden_counts(cfg, alloc, mc, (detector,))
+    false_alarms, missed = counts.errors[detector]
     alpha = _prob_estimate(false_alarms, mc.trials)
     beta = _prob_estimate(missed, mc.trials)
-    if coupled:
+    if counts.coupled:
         xi = _prob_estimate(false_alarms + missed, mc.trials)
     else:
         xi = McEstimate(
@@ -283,20 +350,11 @@ def count_detector_disagreements(
 ) -> int:
     """Trials (over both hypotheses) where the two detectors decide differently.
 
-    Uses the same substreams as simulate_willie, so both detectors see
-    exactly the samples that produced the reported error rates.
+    Reads the same warden pass as simulate_willie, so both detectors see
+    exactly the samples that produced the reported error rates, and a
+    later simulate_willie for either detector draws nothing.
     """
-    import numpy as np
-
-    coupled = alloc.is_equal_power()
-    disagreements = 0
-    for chunk, size in _chunks(mc.trials):
-        rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        for energies in _draw_segment_energies(rng, cfg, alloc, size, coupled):
-            a = _decides_h1(detector_a, cfg, alloc, *energies)
-            b = _decides_h1(detector_b, cfg, alloc, *energies)
-            disagreements += int(np.count_nonzero(a != b))
-    return disagreements
+    return _warden_counts(cfg, alloc, mc, (detector_a, detector_b)).disagreements
 
 
 def _draw_bob_trial(

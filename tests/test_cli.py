@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import covertpilot
-from covertpilot import cli
+from covertpilot import cli, monte_carlo
 from covertpilot.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -111,6 +111,27 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+    def test_percent_in_value_is_a_config_error(self, tmp_path, capsys):
+        # configparser reads a bare '%' as the start of an interpolation
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nepsilon = 10%\n")
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'epsilon' in section [system]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,section",
+        [("[sytem]\nn = 7\n", "sytem"),
+         ("[DEFAULT]\nn = 7\n", "DEFAULT"),
+         ("[DEFAULT]\nn = 7\n[system]\nepsilon = 0.1\n", "DEFAULT")],
+    )
+    def test_unknown_section_is_a_config_error(self, tmp_path, capsys, text, section):
+        config = tmp_path / "run.ini"
+        config.write_text(text)
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        assert f"[{section}]" in capsys.readouterr().err
 
     def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys):
         # about 9e11 points: building the list first would exhaust memory
@@ -288,6 +309,35 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "20000", "--out", str(out_a), "--seed", "1"]) == EXIT_OK
         assert main(["verify", "--trials", "20000", "--out", str(out_b), "--seed", "2"]) == EXIT_OK
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_low_snr_lrt_agrees_with_radiometer(self, tmp_path):
+        # the LRT weight 1/sigma_w2 - 1/(rho + sigma_w2) cancels to ~1e-4
+        # relative here when formed as that difference
+        config = tmp_path / "run.ini"
+        config.write_text("[verify]\nrho = 1e-12\ntrials = 20000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        checks = dict(zip(column(header, rows, "check", str), column(header, rows, "simulated")))
+        assert checks["lrt_vs_radiometer_disagreements"] == 0.0
+
+    def test_each_stream_chunk_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+        stream = monte_carlo._stream
+
+        def counted(seed, domain, chunk):
+            opened.append((domain, chunk))
+            return stream(seed, domain, chunk)
+
+        monkeypatch.setattr(monte_carlo, "_stream", counted)
+        monkeypatch.setattr(monte_carlo, "_last_warden", None)
+        monte_carlo._bob_sums.cache_clear()
+        trials = 2 * monte_carlo.CHUNK_TRIALS + 1000
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--trials", str(trials), "--out", str(out)]) == EXIT_OK
+        chunks = [0, 1, 2]
+        assert [c for d, c in opened if d == monte_carlo._DOMAIN_WILLIE] == chunks
+        assert [c for d, c in opened if d == monte_carlo._DOMAIN_BOB] == chunks
 
     def test_zero_std_err_is_floored_at_one_trial(self, tmp_path):
         # the radiometer never errs at this SNR, so every warden count is 0

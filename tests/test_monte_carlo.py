@@ -189,6 +189,87 @@ class TestCoupledWardenDraw:
         assert rates.xi.std_err == math.hypot(rates.alpha.std_err, rates.beta.std_err)
 
 
+def separate_warden_passes(cfg, alloc, mc, det_a, det_b):
+    """Rates of det_a and the disagreement count, each from its own loop."""
+    coupled = alloc.is_equal_power()
+    false_alarms = missed = disagreements = 0
+    for chunk, size in monte_carlo._chunks(mc.trials):
+        rng = monte_carlo._stream(mc.seed, 1, chunk)
+        h0, h1 = monte_carlo._draw_segment_energies(rng, cfg, alloc, size, coupled)
+        false_alarms += int(np.count_nonzero(monte_carlo._decides_h1(det_a, cfg, alloc, *h0)))
+        missed += int(np.count_nonzero(~monte_carlo._decides_h1(det_a, cfg, alloc, *h1)))
+    for chunk, size in monte_carlo._chunks(mc.trials):
+        rng = monte_carlo._stream(mc.seed, 1, chunk)
+        for energies in monte_carlo._draw_segment_energies(rng, cfg, alloc, size, coupled):
+            a = monte_carlo._decides_h1(det_a, cfg, alloc, *energies)
+            b = monte_carlo._decides_h1(det_b, cfg, alloc, *energies)
+            disagreements += int(np.count_nonzero(a != b))
+    return false_alarms, missed, disagreements
+
+
+class TestSharedWardenPass:
+    @pytest.mark.parametrize(
+        "alloc",
+        [PowerAllocation.equal_power(n=100, rho=0.05, n_p=20),
+         PowerAllocation(n=100, rho=0.05, eta=0.7, n_p=20)],
+        ids=["coupled", "split"],
+    )
+    def test_shared_pass_matches_separate_passes(self, alloc, monkeypatch):
+        cfg = make_cfg(n=100)
+        mc = McConfig(trials=40_000, seed=61)
+        radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
+        lrt = LikelihoodRatioTest()
+        monkeypatch.setattr(monte_carlo, "_last_warden", None)
+        disagreements = count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
+        for det, other in ((radiometer, lrt), (lrt, radiometer)):
+            rates = simulate_willie(cfg, alloc, mc, det)
+            false_alarms, missed, expected = separate_warden_passes(cfg, alloc, mc, det, other)
+            assert (rates.alpha.value, rates.beta.value) == (
+                false_alarms / mc.trials, missed / mc.trials
+            )
+            assert disagreements == expected
+
+    def test_other_inputs_are_not_served_stale_counts(self, monkeypatch):
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
+        mc = McConfig(trials=20_000, seed=67)
+        radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
+        lrt = LikelihoodRatioTest()
+        other = Radiometer(threshold=1.0)
+        calls = [
+            (simulate_willie, cfg, alloc, McConfig(trials=20_000, seed=68), radiometer),
+            (simulate_willie, cfg, alloc, McConfig(trials=30_000, seed=67), radiometer),
+            (simulate_willie, cfg, PowerAllocation.equal_power(n=100, rho=0.1, n_p=20),
+             mc, radiometer),
+            (simulate_willie, cfg, PowerAllocation(n=100, rho=0.05, eta=0.7, n_p=20),
+             mc, radiometer),
+            (simulate_willie, make_cfg(n=100, sw2=1.1), alloc, mc, radiometer),
+            (simulate_willie, cfg, alloc, mc, other),
+            (count_detector_disagreements, cfg, alloc, mc, radiometer, other),
+            (count_detector_disagreements, cfg, alloc, mc, other, lrt),
+        ]
+        for fn, *args in calls:
+            monkeypatch.setattr(monte_carlo, "_last_warden", None)
+            fresh = fn(*args)
+            count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
+            assert fn(*args) == fresh
+
+    def test_pass_is_read_again_only_for_what_it_evaluated(self, monkeypatch):
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
+        mc = McConfig(trials=20_000, seed=71)
+        radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
+        lrt = LikelihoodRatioTest()
+        monkeypatch.setattr(monte_carlo, "_last_warden", None)
+        count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
+        last = monte_carlo._last_warden
+        simulate_willie(cfg, alloc, mc, lrt)
+        count_detector_disagreements(cfg, alloc, mc, lrt, radiometer)
+        assert monte_carlo._last_warden is last
+        simulate_willie(cfg, alloc, mc, Radiometer(threshold=1.0))
+        assert monte_carlo._last_warden is not last
+
+
 class TestWillieObservation:
     def test_sample_vector_shape_and_energy(self):
         cfg = make_cfg(n=80)
