@@ -284,15 +284,14 @@ def _warden_counts(
     ):
         return last
     coupled = alloc.is_equal_power()
-    evaluated = tuple(dict.fromkeys(detectors))
-    errors = [[0, 0] for _ in evaluated]
+    errors = [[0, 0] for _ in detectors]
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
         for hypothesis, energies in enumerate(
             _draw_segment_energies(rng, cfg, alloc, size, coupled)
         ):
-            decisions = [_decides_h1(d, cfg, alloc, *energies) for d in evaluated]
+            decisions = [_decides_h1(d, cfg, alloc, *energies) for d in detectors]
             for counts, decides in zip(errors, decisions):
                 h1_decisions = int(np.count_nonzero(decides))
                 # an error decides H1 under H0, or H0 under H1
@@ -302,7 +301,7 @@ def _warden_counts(
     _last_warden = _WardenPass(
         key=key,
         coupled=coupled,
-        errors={d: tuple(counts) for d, counts in zip(evaluated, errors)},
+        errors={d: tuple(counts) for d, counts in zip(detectors, errors)},
         pair=pair,
         disagreements=disagreements,
     )

@@ -294,12 +294,15 @@ class TestFigureCommands:
 
 
 class TestVerifyCommand:
-    def test_passes_and_is_deterministic(self, tmp_path):
+    def test_passes_and_is_deterministic(self, tmp_path, monkeypatch):
         config = tmp_path / "run.ini"
         config.write_text("[verify]\ntrials = 20000\n")
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         assert main(["verify", "--config", str(config), "--out", str(out_a), "--seed", "7"]) == EXIT_OK
+        # the second run draws afresh rather than reading the memoised passes
+        monkeypatch.setattr(monte_carlo, "_last_warden", None)
+        monte_carlo._bob_sums.cache_clear()
         assert main(["verify", "--config", str(config), "--out", str(out_b), "--seed", "7"]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
 

@@ -47,12 +47,15 @@ class TestMcConfig:
 
 
 class TestDeterminism:
-    def test_willie_estimates_bit_identical(self):
+    # each second call draws afresh rather than reading the memoised pass
+
+    def test_willie_estimates_bit_identical(self, monkeypatch):
         cfg = make_cfg(n=50)
         alloc = PowerAllocation.equal_power(n=50, rho=0.2, n_p=10)
         mc = McConfig(trials=20_000, seed=99)
         det = Radiometer(threshold=optimal_threshold(0.2, 1.0))
         first = simulate_willie(cfg, alloc, mc, det)
+        monkeypatch.setattr(monte_carlo, "_last_warden", None)
         second = simulate_willie(cfg, alloc, mc, det)
         assert first == second
 
@@ -60,7 +63,9 @@ class TestDeterminism:
         cfg = make_cfg(n=50)
         alloc = PowerAllocation.equal_power(n=50, rho=0.2, n_p=10)
         mc = McConfig(trials=20_000, seed=99)
-        assert simulate_bob_sinr(cfg, alloc, mc) == simulate_bob_sinr(cfg, alloc, mc)
+        first = simulate_bob_sinr(cfg, alloc, mc)
+        monte_carlo._bob_sums.cache_clear()
+        assert simulate_bob_sinr(cfg, alloc, mc) == first
 
     def test_different_seeds_differ(self):
         cfg = make_cfg(n=50)
