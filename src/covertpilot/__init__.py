@@ -51,20 +51,11 @@ from .optimizer import (
     np_star,
     solve_rho_star,
 )
-from .specfun import (
-    ConvergenceError,
-    RegGammaResult,
-    chi_square_cdf,
-    ln_gamma,
-    reg_gamma,
-    reg_lower_gamma,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BobEstimationDiagnostics",
-    "ConvergenceError",
     "DesignResult",
     "DetectionReport",
     "EstimationStats",
@@ -73,14 +64,12 @@ __all__ = [
     "McEstimate",
     "PowerAllocation",
     "Radiometer",
-    "RegGammaResult",
     "SolverError",
     "SystemConfig",
     "TrialBudgetError",
     "WillieErrorRates",
     "WillieObservation",
     "bob_estimation_diagnostics",
-    "chi_square_cdf",
     "count_detector_disagreements",
     "covert_margin",
     "covertness_lower_bound",
@@ -92,14 +81,11 @@ __all__ = [
     "estimation_stats",
     "kl_divergence",
     "kl_divergence_deta",
-    "ln_gamma",
     "min_detection_error",
     "np_continuous",
     "np_sensitivity",
     "np_star",
     "optimal_threshold",
-    "reg_gamma",
-    "reg_lower_gamma",
     "segment_energies",
     "simulate_bob_sinr",
     "simulate_willie",

@@ -39,7 +39,6 @@ from .monte_carlo import (
     simulate_willie,
 )
 from .optimizer import SolverError, design, np_star, solve_rho_star
-from .specfun import ConvergenceError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -533,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrialBudgetError as exc:
         print(f"monte carlo budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SolverError, ConvergenceError) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -37,7 +37,7 @@ from typing import (
     TYPE_CHECKING, Dict, FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union,
 )
 
-from .link_model import PowerAllocation, SystemConfig
+from .link_model import PowerAllocation, SystemConfig, _check_alloc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -269,10 +269,7 @@ def _warden_counts(
     global _last_warden
     import numpy as np
 
-    if alloc.n != cfg.n:
-        raise ValueError(
-            f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
-        )
+    _check_alloc(cfg, alloc)
     key = (cfg, alloc, mc)
     pair = frozenset(detectors[:2])
     last = _last_warden
@@ -449,10 +446,7 @@ def simulate_bob_sinr(
     rho_d |h - h_hat|^2 + sigma_b2.  Returns the ratio of means with a
     delta-method standard error.
     """
-    if alloc.n != cfg.n:
-        raise ValueError(
-            f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
-        )
+    _check_alloc(cfg, alloc)
     (sum_s, sum_i, sum_ss, sum_ii, sum_si), _ = _bob_sums(cfg, alloc, mc)
     trials = mc.trials
     mean_s = sum_s / trials

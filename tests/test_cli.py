@@ -16,13 +16,13 @@ from covertpilot.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
-    EXIT_SOLVER,
     build_parser,
     config_hash,
     dbm_to_linear,
     linear_to_dbm,
     main,
 )
+from covertpilot.detection import covert_margin
 from covertpilot.monte_carlo import McEstimate
 
 
@@ -163,16 +163,24 @@ class TestConfigHandling:
         assert defaults["fig1"]["eta_grid"] == [round(0.05 * k, 12) for k in range(1, 20)]
         assert defaults["fig3"]["epsilon_grid"] == [round(0.02 * k, 12) for k in range(1, 16)]
 
-    def test_kernel_failure_is_a_solver_exit(self, tmp_path, capsys):
-        # the incomplete gamma series behind sweep's alpha and beta columns
-        # does not converge at this slot length
-        config = tmp_path / "run.ini"
-        config.write_text("[system]\nn = 10000000\n[sweep]\nrho_points = 2\n")
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_SOLVER
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure: ")
-        assert err.count("\n") == 1
+    def test_sweep_at_large_n_matches_covert_margin(self, tmp_path):
+        # alpha and beta integrate the same saddle-point density as the
+        # covert margin, so sweep runs at any slot length and agrees with it
+        for n in (10_000_000, 100_000_000):
+            config = tmp_path / f"run_{n}.ini"
+            config.write_text(
+                f"[system]\nn = {n}\n"
+                "[sweep]\nrho_min = 0.0001\nrho_max = 0.002\nrho_points = 4\n"
+            )
+            out = tmp_path / f"sweep_{n}.csv"
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            header, rows = read_csv(out)
+            assert len(rows) == 4
+            # sigma_w2 is 1, so rho is the warden SNR
+            for rho, xi in zip(column(header, rows, "rho"), column(header, rows, "xi_star")):
+                assert abs(xi - (1.0 - covert_margin(n, rho)[0])) <= 1e-12
+            for name in ("alpha", "beta"):
+                assert all(0.0 <= v <= 1.0 for v in column(header, rows, name))
 
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()

@@ -137,7 +137,7 @@ class TestMinDetectionError:
     def test_single_sample_closed_form(self):
         # n=1, rho=1, sigma_w2=1: alpha = exp(-2 ln 2) = 1/4, beta = 1/2
         # (SystemConfig requires n >= 2, so evaluate the n=1 pieces explicitly)
-        from covertpilot.specfun import reg_lower_gamma
+        from covertpilot.detection import reg_lower_gamma
 
         tau = optimal_threshold(1.0, 1.0)
         alpha = 1.0 - reg_lower_gamma(1, tau)

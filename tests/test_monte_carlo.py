@@ -27,7 +27,7 @@ from covertpilot.monte_carlo import (
     simulate_bob_sinr,
     simulate_willie,
 )
-from covertpilot.specfun import reg_lower_gamma
+from covertpilot.detection import reg_lower_gamma
 
 
 def make_cfg(n=100, sw2=1.0):

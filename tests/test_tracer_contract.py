@@ -49,3 +49,22 @@ def test_verify_calls_every_monte_carlo_name(tmp_path):
         tracer.restore()
     called = {tracer.names[i] for i in tracer.columns["name"]}
     assert called == {f"cli.{fn}" for fn in bench.MC_FNS}
+
+
+def test_alpha_and_beta_call_the_traced_kernel(tmp_path):
+    # the tracer's whole specfun layer is this one name; sweep and verify
+    # must reach it through the module global min_detection_error reads
+    bench = load_tracer()
+    tracer = bench.Tracer()
+    targets = [t for t in bench.TARGETS if t[:2] == ("covertpilot.detection", "reg_lower_gamma")]
+    assert len(targets) == 1
+    assert tracer.install(targets) == []
+    try:
+        for argv in (["sweep"], ["verify", "--trials", "2000"]):
+            before = len(tracer.columns["name"])
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            called = [tracer.names[i] for i in tracer.columns["name"][before:]]
+            assert "detection.reg_lower_gamma" in called, argv[0]
+    finally:
+        tracer.restore()
