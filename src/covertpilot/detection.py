@@ -113,20 +113,22 @@ def min_detection_error(cfg: SystemConfig, rho: float) -> DetectionReport:
 
     With rho_p = rho_d = rho the optimal detector reduces to the
     radiometer at the optimal threshold, and with P = reg_lower_gamma the
-    regularized lower incomplete gamma function:
+    regularized lower incomplete gamma function and Q = 1 - P:
 
-        alpha = 1 - P(n, n tau / sigma_w2)
-        beta  =     P(n, n tau / (rho + sigma_w2))
+        alpha = Q(n, n tau / sigma_w2)
+        beta  = P(n, n tau / (rho + sigma_w2))
         xi    = alpha + beta
 
-    The result depends on n only, not on the pilot/data split.
+    Each is the Gamma(n) tail beyond the mode, integrated directly, so it
+    keeps its relative accuracy however small.  The result depends on n
+    only, not on the pilot/data split.
     """
     if not (rho > 0):
         raise ValueError(f"min_detection_error requires rho > 0, got {rho!r}")
     sw2 = cfg.sigma_w2
     n = cfg.n
     tau = optimal_threshold(rho, sw2)
-    alpha = 1.0 - reg_lower_gamma(n, n * tau / sw2)
+    alpha = _gamma_tail(n, n * tau / sw2, upper=True)
     beta = reg_lower_gamma(n, n * tau / (rho + sw2))
     d01 = n * _per_sample_divergence(rho / sw2)
     return DetectionReport(
@@ -249,7 +251,7 @@ def _gamma_tail(n: int, x: float, upper: bool) -> float:
     the density at w for the tail on the far side of the mode, e^log_c
     for the one holding it.  That one is integrated through the mode,
     which fits in _MAX_PANELS only for x within a few standard deviations
-    of n; reg_lower_gamma asks for the far one only.
+    of n; reg_lower_gamma and min_detection_error ask for the far one only.
 
     w is formed as log1p((x - n)/n) for x > n/2: ln(x/n) leaves an
     absolute error of an ulp in w, which the steep tails at large n

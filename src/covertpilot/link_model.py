@@ -13,6 +13,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
+# pilot and data powers within this fraction of rho count as equal
+_EQUAL_POWER_RTOL = 1e-9
+
 
 def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -107,10 +110,10 @@ class PowerAllocation:
         eta = rho_d * n_d / (rho * n)
         return cls(n=n, rho=rho, eta=eta, n_p=n_p)
 
-    def is_equal_power(self, rel_tol: float = 1e-9) -> bool:
+    def is_equal_power(self) -> bool:
         if self.rho == 0.0:
             return True
-        return abs(self.rho_p - self.rho_d) < rel_tol * self.rho
+        return abs(self.rho_p - self.rho_d) < _EQUAL_POWER_RTOL * self.rho
 
 
 @dataclass(frozen=True)

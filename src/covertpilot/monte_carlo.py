@@ -3,15 +3,16 @@
 The warden's detectors (energy detector and likelihood ratio test) are
 functions of the received energy in the pilot and data segments, and the
 sum of k iid squared magnitudes of CN(0, v) samples is Gamma(k, v), so
-the hot path draws segment energies directly.  At equal power both
-detectors read only the total energy, and one Gamma(n) draw per trial
-serves both hypotheses: the H1 total is the H0 total scaled by
-1 + rho / sigma_w2.  One pass over the warden stream evaluates every
-detector a call names, and feeds both the error rates and the
-detector disagreement count.  Bob's MMSE estimate depends on the pilot
-observations only through their average, whose noise term is
-CN(0, sigma_b2 / n_p), so that average is drawn directly as well, in one
-pass that feeds both the SINR estimate and the estimation diagnostics.
+the hot path draws segment energies directly.  One draw per trial
+serves both hypotheses: each H1 segment energy is its H0 energy scaled
+by 1 + rho_seg / sigma_w2, and at equal power, where both detectors
+read only the total energy, that draw is a single Gamma(n) total.
+One pass over the warden stream evaluates every detector a call names,
+and feeds both the error rates and the detector disagreement count.
+Bob's MMSE estimate depends on the pilot observations only through
+their average, whose noise term is CN(0, sigma_b2 / n_p), so that
+average is drawn directly as well, in one pass that feeds both the SINR
+estimate and the estimation diagnostics.
 Each pass is memoised for the last (config, allocation, Monte Carlo
 settings), so a second reader of one stream draws nothing.
 Sample-level observation vectors remain available through
@@ -42,7 +43,8 @@ from .link_model import PowerAllocation, SystemConfig, _check_alloc
 if TYPE_CHECKING:
     import numpy as np
 
-    # (pilot, data) energies; the data energy is 0.0 when the draw is coupled
+    # (pilot, data) energies; at equal power the pilot energy carries the
+    # total and the data energy is 0.0
     _Energies = Tuple[np.ndarray, Union[np.ndarray, float]]
 
 CHUNK_TRIALS = 1 << 14
@@ -216,33 +218,33 @@ def _draw_segment_energies(
     cfg: SystemConfig,
     alloc: PowerAllocation,
     size: int,
-    coupled: bool,
 ) -> Tuple[_Energies, _Energies]:
     """(pilot, data) segment energies for `size` trials under H0 and under H1.
 
-    `coupled` is only for an equal-power allocation, where the detectors
-    read only the total: one Gamma(n) draw per trial gives the H0 total
-    E0 = sigma_w2 G, carried as the pilot energy next to a zero data
-    energy, and the H1 total is (1 + rho / sigma_w2) E0.  Otherwise the
-    draw order is fixed (H0 pilot, H0 data, H1 pilot, H1 data).  Either
-    way every consumer of a chunk stream sees identical samples.
+    One set of unit energies per trial serves both hypotheses (common
+    random numbers): G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d), drawn in that
+    order, give the H0 energies sigma_w2 (G_p, G_d), and each H1 energy
+    is its H0 energy times 1 + rho_seg / sigma_w2.  At equal power the
+    detectors read only the total, so one Gamma(n) draw gives the H0
+    total, carried as the pilot energy next to a zero data energy.  Every
+    consumer of a chunk stream sees identical samples.
     """
     sw2 = cfg.sigma_w2
-    if coupled:
+    if alloc.is_equal_power():
         total_h0 = sw2 * rng.standard_gamma(cfg.n, size)
         return (total_h0, 0.0), ((1.0 + alloc.rho / sw2) * total_h0, 0.0)
-    e_pilot_h0 = rng.gamma(alloc.n_p, sw2, size)
-    e_data_h0 = rng.gamma(alloc.n_d, sw2, size)
-    e_pilot_h1 = rng.gamma(alloc.n_p, alloc.rho_p + sw2, size)
-    e_data_h1 = rng.gamma(alloc.n_d, alloc.rho_d + sw2, size)
-    return (e_pilot_h0, e_data_h0), (e_pilot_h1, e_data_h1)
+    pilot_h0 = sw2 * rng.standard_gamma(alloc.n_p, size)
+    data_h0 = sw2 * rng.standard_gamma(alloc.n_d, size)
+    return (pilot_h0, data_h0), (
+        (1.0 + alloc.rho_p / sw2) * pilot_h0,
+        (1.0 + alloc.rho_d / sw2) * data_h0,
+    )
 
 
 class _WardenPass(NamedTuple):
     """Counts from one pass over the warden substreams of (cfg, alloc, mc)."""
 
     key: Tuple[SystemConfig, PowerAllocation, McConfig]
-    coupled: bool
     errors: Dict[Detector, Tuple[int, int]]  # (false alarms, misses)
     pair: FrozenSet[Detector]  # the first two detectors of the pass
     disagreements: int  # trials, over both hypotheses, where they differ
@@ -280,13 +282,12 @@ def _warden_counts(
         and (len(detectors) < 2 or last.pair == pair)
     ):
         return last
-    coupled = alloc.is_equal_power()
     errors = [[0, 0] for _ in detectors]
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
         for hypothesis, energies in enumerate(
-            _draw_segment_energies(rng, cfg, alloc, size, coupled)
+            _draw_segment_energies(rng, cfg, alloc, size)
         ):
             decisions = [_decides_h1(d, cfg, alloc, *energies) for d in detectors]
             for counts, decides in zip(errors, decisions):
@@ -297,7 +298,6 @@ def _warden_counts(
                 disagreements += int(np.count_nonzero(decisions[0] != decisions[1]))
     _last_warden = _WardenPass(
         key=key,
-        coupled=coupled,
         errors={d: tuple(counts) for d, counts in zip(detectors, errors)},
         pair=pair,
         disagreements=disagreements,
@@ -314,27 +314,19 @@ def simulate_willie(
     """Empirical false alarm, missed detection, and total error rates.
 
     Runs mc.trials slots under each hypothesis and applies the detector;
-    xi = alpha + beta.  At equal power the two hypotheses
-    share one draw, whose H1 energy is never below its H0 energy, and
-    both detectors increase with the energy, so a false alarm and a miss
-    never fall on one trial: xi is then a binomial proportion.  With
-    independent draws its standard error combines the two binomial
-    errors in quadrature.  Reads the last warden pass when that pass
-    already evaluated the detector on the same (cfg, alloc, mc).
+    xi = alpha + beta.  The two hypotheses share one draw per trial,
+    whose H1 segment energies are never below its H0 ones, and both
+    detectors weigh the energies with nonnegative weights, so a false
+    alarm and a miss never fall on one trial: xi is a binomial
+    proportion at any power split.  Reads the last warden pass when that
+    pass already evaluated the detector on the same (cfg, alloc, mc).
     """
-    counts = _warden_counts(cfg, alloc, mc, (detector,))
-    false_alarms, missed = counts.errors[detector]
-    alpha = _prob_estimate(false_alarms, mc.trials)
-    beta = _prob_estimate(missed, mc.trials)
-    if counts.coupled:
-        xi = _prob_estimate(false_alarms + missed, mc.trials)
-    else:
-        xi = McEstimate(
-            value=alpha.value + beta.value,
-            std_err=math.hypot(alpha.std_err, beta.std_err),
-            trials=mc.trials,
-        )
-    return WillieErrorRates(alpha=alpha, beta=beta, xi=xi)
+    false_alarms, missed = _warden_counts(cfg, alloc, mc, (detector,)).errors[detector]
+    return WillieErrorRates(
+        alpha=_prob_estimate(false_alarms, mc.trials),
+        beta=_prob_estimate(missed, mc.trials),
+        xi=_prob_estimate(false_alarms + missed, mc.trials),
+    )
 
 
 def count_detector_disagreements(

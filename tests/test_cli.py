@@ -182,6 +182,23 @@ class TestConfigHandling:
             for name in ("alpha", "beta"):
                 assert all(0.0 <= v <= 1.0 for v in column(header, rows, name))
 
+    def test_sweep_alpha_keeps_its_tail_at_large_n(self, tmp_path):
+        # at n = 1e8, rho = 0.002 alpha is ~8e-24, far below 1 - P's resolution
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[system]\nn = 100000000\n"
+            "[sweep]\nrho_min = 0.001\nrho_max = 0.003\nrho_points = 3\n"
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        alphas, betas, xis = (
+            column(header, rows, name) for name in ("alpha", "beta", "xi_star")
+        )
+        assert all(a > 0.0 for a in alphas)
+        assert 1e-24 < alphas[1] < 1e-22
+        assert all(xi == a + b for xi, a, b in zip(xis, alphas, betas))
+
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()
         texts = []

@@ -163,6 +163,24 @@ class TestMinDetectionError:
             xis = [min_detection_error(cfg, float(r)).xi_star for r in rhos]
             assert all(b < a for a, b in zip(xis, xis[1:]))
 
+    def test_tails_against_mpmath(self):
+        # alpha is the upper tail above the mode, beta the lower tail below
+        # it; each keeps its relative accuracy, however small
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        for n in (100, 10_000):
+            for sw2 in (1.0, 2.5e-9):
+                cfg = make_cfg(n=n, sw2=sw2)
+                for c in (0.05, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
+                    rho = sw2 * c / math.sqrt(n)
+                    rep = min_detection_error(cfg, rho)
+                    x0 = n * rep.tau_star / sw2
+                    x1 = n * rep.tau_star / (rho + sw2)
+                    alpha = mpmath.gammainc(n, x0, mpmath.inf, regularized=True)
+                    beta = mpmath.gammainc(n, 0, x1, regularized=True)
+                    assert abs(rep.alpha - alpha) <= 1e-14 * alpha
+                    assert abs(rep.beta - beta) <= 1e-14 * beta
+
     def test_bound_below_xi_star(self):
         rng = np.random.default_rng(15)
         for _ in range(1000):

@@ -149,63 +149,126 @@ class TestWillieDetection:
         assert max(xis, key=xis.get) == pytest.approx(0.8, abs=0.101)
 
 
+def exact_lrt_xi(cfg, alloc):
+    """The LRT's alpha + beta by quadrature over the unit pilot energy G_p.
+
+    Given G_p, the detector errs when the unit data energy G_d ~ Gamma(n_d)
+    lies above (H0) or below (H1) a line in G_p, so xi is the Gamma(n_p)
+    density times those Gamma(n_d) tails, integrated once.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+    sw2 = cfg.sigma_w2
+    n_p, n_d = alloc.n_p, alloc.n_d
+    w_p = alloc.rho_p / (sw2 * (alloc.rho_p + sw2))
+    w_d = alloc.rho_d / (sw2 * (alloc.rho_d + sw2))
+    t = n_p * math.log1p(alloc.rho_p / sw2) + n_d * math.log1p(alloc.rho_d / sw2)
+    # the statistic is a_p G_p + a_d G_d, with (a_p, a_d) per hypothesis
+    a0 = (w_p * sw2, w_d * sw2)
+    a1 = (w_p * (alloc.rho_p + sw2), w_d * (alloc.rho_d + sw2))
+
+    def integrand(g):
+        density = math.exp((n_p - 1) * math.log(g) - g - special.gammaln(n_p))
+        false_alarm = special.gammaincc(n_d, max(t - a0[0] * g, 0.0) / a0[1])
+        miss = special.gammainc(n_d, max(t - a1[0] * g, 0.0) / a1[1])
+        return density * (false_alarm + miss)
+
+    top = n_p + 40.0 * math.sqrt(n_p) + 40.0
+    # the data tails have a kink where their argument reaches 0
+    kinks = sorted(k for k in (t / a0[0], t / a1[0]) if k < top)
+    xi, _ = integrate.quad(
+        integrand, 0.0, top, points=kinks, epsabs=1e-13, epsrel=1e-12, limit=400
+    )
+    return xi
+
+
+class TestExactLrtError:
+    def test_reference_matches_closed_form_at_equal_power(self):
+        cfg = make_cfg(n=100)
+        for n_p in (20, 50):
+            alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=n_p)
+            assert exact_lrt_xi(cfg, alloc) == pytest.approx(
+                min_detection_error(cfg, 0.05).xi_star, abs=1e-12
+            )
+
+    def test_unequal_power_estimate_is_unbiased(self):
+        # each row has its own seed: rows drawn from one seed are correlated
+        cfg = make_cfg(n=100)
+        rows = [(20, 0.3), (20, 0.6), (20, 0.95), (50, 0.2), (50, 0.4), (50, 0.8)]
+        for index, (n_p, eta) in enumerate(rows):
+            alloc = PowerAllocation(n=100, rho=0.05, eta=eta, n_p=n_p)
+            mc = McConfig(trials=100_000, seed=1000 + index)
+            xi = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest()).xi
+            assert abs(xi.value - exact_lrt_xi(cfg, alloc)) <= 4.0 * xi.std_err
+
+
 class TestCoupledWardenDraw:
     def test_equal_power_scales_one_total_per_trial(self):
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.equal_power(n=50, rho=0.3, n_p=10)
         stream = monte_carlo._stream(5, 1, 0)
-        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000, True)
+        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000)
         assert d0 == d1 == 0.0
         assert np.array_equal(p0, 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
         assert np.array_equal(p1, (1.0 + 0.3 / 2.0) * p0)
 
-    def test_unequal_power_keeps_four_split_draws(self):
-        cfg = make_cfg(n=50)
+    def test_unequal_power_scales_one_draw_per_segment(self):
+        cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation(n=50, rho=0.3, eta=0.5, n_p=10)
-        h0, h1 = monte_carlo._draw_segment_energies(
-            monte_carlo._stream(5, 1, 0), cfg, alloc, 100, False
-        )
+        h0, h1 = monte_carlo._draw_segment_energies(monte_carlo._stream(5, 1, 0), cfg, alloc, 100)
         rng = monte_carlo._stream(5, 1, 0)
+        pilot = 2.0 * rng.standard_gamma(10, 100)
+        data = 2.0 * rng.standard_gamma(40, 100)
         expected = [
-            rng.gamma(10, 1.0, 100),
-            rng.gamma(40, 1.0, 100),
-            rng.gamma(10, alloc.rho_p + 1.0, 100),
-            rng.gamma(40, alloc.rho_d + 1.0, 100),
+            pilot,
+            data,
+            (1.0 + alloc.rho_p / 2.0) * pilot,
+            (1.0 + alloc.rho_d / 2.0) * data,
         ]
         assert all(np.array_equal(a, b) for a, b in zip((*h0, *h1), expected))
 
     @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
     def test_equal_power_xi_is_one_binomial_proportion(self, detector):
-        # a false alarm and a miss never fall on one coupled trial
-        cfg = make_cfg(n=100)
-        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
-        mc = McConfig(trials=30_000, seed=3)
-        rates = simulate_willie(cfg, alloc, mc, detector)
-        errors = round(rates.alpha.value * mc.trials) + round(rates.beta.value * mc.trials)
-        xi = errors / mc.trials
-        assert rates.xi.value == xi
-        assert rates.xi.std_err == math.sqrt(xi * (1.0 - xi) / mc.trials)
+        assert_xi_is_one_binomial_proportion(
+            PowerAllocation.equal_power(n=100, rho=0.05, n_p=20), detector
+        )
 
-    def test_unequal_power_xi_std_err_adds_in_quadrature(self):
-        cfg = make_cfg(n=100)
-        alloc = PowerAllocation(n=100, rho=0.05, eta=0.5, n_p=20)
-        rates = simulate_willie(cfg, alloc, McConfig(trials=30_000, seed=3), LikelihoodRatioTest())
-        assert rates.xi.value == rates.alpha.value + rates.beta.value
-        assert rates.xi.std_err == math.hypot(rates.alpha.std_err, rates.beta.std_err)
+    @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
+    def test_unequal_power_xi_is_one_binomial_proportion(self, detector):
+        assert_xi_is_one_binomial_proportion(
+            PowerAllocation(n=100, rho=0.05, eta=0.5, n_p=20), detector
+        )
+
+
+def assert_xi_is_one_binomial_proportion(alloc, detector):
+    # a false alarm and a miss never fall on one trial of the shared draw
+    cfg = make_cfg(n=100)
+    mc = McConfig(trials=40_000, seed=3)
+    for chunk, size in monte_carlo._chunks(mc.trials):
+        h0, h1 = monte_carlo._draw_segment_energies(
+            monte_carlo._stream(mc.seed, 1, chunk), cfg, alloc, size
+        )
+        false_alarm = monte_carlo._decides_h1(detector, cfg, alloc, *h0)
+        miss = ~monte_carlo._decides_h1(detector, cfg, alloc, *h1)
+        assert not np.any(false_alarm & miss)
+    rates = simulate_willie(cfg, alloc, mc, detector)
+    errors = round(rates.alpha.value * mc.trials) + round(rates.beta.value * mc.trials)
+    xi = errors / mc.trials
+    assert rates.xi.value == xi
+    assert rates.xi.std_err == math.sqrt(xi * (1.0 - xi) / mc.trials)
 
 
 def separate_warden_passes(cfg, alloc, mc, det_a, det_b):
     """Rates of det_a and the disagreement count, each from its own loop."""
-    coupled = alloc.is_equal_power()
     false_alarms = missed = disagreements = 0
     for chunk, size in monte_carlo._chunks(mc.trials):
         rng = monte_carlo._stream(mc.seed, 1, chunk)
-        h0, h1 = monte_carlo._draw_segment_energies(rng, cfg, alloc, size, coupled)
+        h0, h1 = monte_carlo._draw_segment_energies(rng, cfg, alloc, size)
         false_alarms += int(np.count_nonzero(monte_carlo._decides_h1(det_a, cfg, alloc, *h0)))
         missed += int(np.count_nonzero(~monte_carlo._decides_h1(det_a, cfg, alloc, *h1)))
     for chunk, size in monte_carlo._chunks(mc.trials):
         rng = monte_carlo._stream(mc.seed, 1, chunk)
-        for energies in monte_carlo._draw_segment_energies(rng, cfg, alloc, size, coupled):
+        for energies in monte_carlo._draw_segment_energies(rng, cfg, alloc, size):
             a = monte_carlo._decides_h1(det_a, cfg, alloc, *energies)
             b = monte_carlo._decides_h1(det_b, cfg, alloc, *energies)
             disagreements += int(np.count_nonzero(a != b))
