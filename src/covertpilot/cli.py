@@ -10,9 +10,12 @@ Subcommands reproduce the library's headline results as CSV sweeps:
   verify   Monte Carlo versus closed-form consistency suite
 
 Configuration files are INI-style: a [system] section for the physical
-parameters plus one optional section per subcommand.  Every key has a
-default, so all subcommands run with no config at all.  Power-valued
-keys accept a `dBm` suffix (linear = 10^(dBm/10), milliwatt reference).
+parameters plus one optional section per subcommand.  `_SECTIONS` gives
+each section's keys with their defaults, so all subcommands run with no
+config at all, and `_PARSERS` gives each key's parser.  Power keys accept
+a `dBm` suffix (linear = 10^(dBm/10), milliwatt reference), which
+--units dbm implies for their unsuffixed values.  --trials applies only
+where the section takes `trials` (fig1, verify).
 CSV output is deterministic for a fixed (config, seed): comma-separated,
 LF line endings, 17 significant digits, and every row carries a hash of
 the fully resolved configuration.
@@ -48,9 +51,6 @@ EXIT_BUDGET = 4
 
 DEFAULT_SEED = 12345
 
-# keys interpreted as powers, eligible for dBm conversion
-_POWER_KEYS = {"sigma_b2", "sigma_w2", "rho", "rho_min", "rho_max"}
-
 # caption-fidelity annotation keys: accepted, warned about, never used
 _ANNOTATION_KEYS = {"tau"}
 
@@ -71,8 +71,6 @@ def linear_to_dbm(linear: float) -> float:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -137,20 +135,45 @@ def _parse_grid(key: str, raw: str) -> List[float]:
             )
         count = int(round(intervals)) + 1
         return [round(start + i * step, 12) for i in range(count)]
-    return _parse_list(key, raw, lambda k, item: _parse_float(k, item))
+    return _parse_list(key, raw, _parse_float)
 
 
-# defaults are typed and always linear-scale; the units flag applies only
-# to values read from a config file
-_SYSTEM_DEFAULTS: Dict[str, object] = {
-    "n": 100,
-    "lambda_ab": 1.0,
-    "sigma_b2": 1.0,
-    "sigma_w2": 1.0,
-    "epsilon": 0.1,
+_int_list = functools.partial(_parse_list, parse_item=_parse_int)
+_float_list = functools.partial(_parse_list, parse_item=_parse_float)
+
+# key -> parser(key, raw); the power parser alone also reads --units
+_PARSERS = {
+    "n": _parse_int,
+    "lambda_ab": _parse_float,
+    "sigma_b2": _parse_power,
+    "sigma_w2": _parse_power,
+    "epsilon": _parse_float,
+    "seed": _parse_int,
+    "rho": _parse_power,
+    "np_values": _int_list,
+    "eta_grid": _parse_grid,
+    "trials": _parse_int,
+    "epsilon_values": _float_list,
+    "epsilon_grid": _parse_grid,
+    "n_values": _int_list,
+    "rho_min": _parse_power,
+    "rho_max": _parse_power,
+    "rho_points": _parse_int,
+    "n_p": _parse_int,
 }
 
-_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
+# section -> {key: default}: the keys each section accepts.  Defaults are
+# typed and always linear-scale; --units applies only to values read from
+# a config file.  Every key but seed in [system] is a SystemConfig field.
+_SECTIONS: Dict[str, Dict[str, object]] = {
+    "system": {
+        "n": 100,
+        "lambda_ab": 1.0,
+        "sigma_b2": 1.0,
+        "sigma_w2": 1.0,
+        "epsilon": 0.1,
+        "seed": DEFAULT_SEED,
+    },
     "design": {},
     "fig1": {
         "rho": 0.05,
@@ -167,11 +190,6 @@ _COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
     "verify": {"rho": 0.05, "n_p": 20, "trials": 200_000},
 }
 
-_VALID_KEYS: Dict[str, set] = {
-    "system": set(_SYSTEM_DEFAULTS) | {"seed"},
-    **{cmd: set(defaults) for cmd, defaults in _COMMAND_DEFAULTS.items()},
-}
-
 
 def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
@@ -184,7 +202,7 @@ def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}")
     for section in parser.sections():
-        if section not in _VALID_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
     if parser.defaults():
         raise ConfigError(
@@ -211,23 +229,9 @@ def _collect_section(
                 file=sys.stderr,
             )
             continue
-        if key not in _VALID_KEYS[section]:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"unknown config key '{key}' in section [{section}]")
         resolved[key] = raw
-
-
-def _parse_override(key: str, value: str, units: str) -> object:
-    if key in _POWER_KEYS:
-        return _parse_power(key, value, units)
-    if key in ("n", "n_p", "trials", "rho_points", "seed"):
-        return _parse_int(key, value)
-    if key in ("np_values", "n_values"):
-        return _parse_list(key, value, _parse_int)
-    if key in ("eta_grid", "epsilon_grid"):
-        return _parse_grid(key, value)
-    if key == "epsilon_values":
-        return _parse_list(key, value, lambda k, item: _parse_float(k, item))
-    return _parse_float(key, value)
 
 
 def resolve_run_config(args, command: str) -> Dict[str, object]:
@@ -239,32 +243,25 @@ def resolve_run_config(args, command: str) -> Dict[str, object]:
 
     units = args.units
     resolved: Dict[str, object] = {"command": command, "units": units}
-    resolved.update(_SYSTEM_DEFAULTS)
-    resolved.update(_COMMAND_DEFAULTS[command])
-    for key, value in overrides.items():
-        resolved[key] = _parse_override(key, value, units)
+    resolved.update(_SECTIONS["system"])
+    resolved.update(_SECTIONS[command])
+    for key, raw in overrides.items():
+        parse = _PARSERS[key]
+        resolved[key] = parse(key, raw, units) if parse is _parse_power else parse(key, raw)
 
     if args.seed is not None:
         resolved["seed"] = args.seed
-    resolved.setdefault("seed", DEFAULT_SEED)
     if args.trials is not None:
+        if "trials" not in _SECTIONS[command]:
+            raise ConfigError(f"--trials: '{command}' runs no Monte Carlo trials")
         resolved["trials"] = args.trials
     return resolved
 
 
 def system_config(resolved: Dict[str, object], **overrides) -> SystemConfig:
-    values = {
-        "n": resolved["n"],
-        "lambda_ab": resolved["lambda_ab"],
-        "sigma_b2": resolved["sigma_b2"],
-        "sigma_w2": resolved["sigma_w2"],
-        "epsilon": resolved["epsilon"],
-    }
+    values = {key: resolved[key] for key in _SECTIONS["system"] if key != "seed"}
     values.update(overrides)
-    try:
-        return SystemConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return SystemConfig(**values)
 
 
 def config_hash(resolved: Dict[str, object]) -> str:
@@ -484,12 +481,12 @@ def cmd_verify(args) -> int:
 
 
 _COMMANDS = {
-    "design": cmd_design,
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
+    "design": (cmd_design, "solve one covert design"),
+    "fig1": (cmd_fig1, "warden error vs power split (CSV)"),
+    "fig2": (cmd_fig2, "effective SINR vs pilot count (CSV)"),
+    "fig3": (cmd_fig3, "optimal pilot count vs covertness (CSV)"),
+    "sweep": (cmd_sweep, "detection metrics vs average power (CSV)"),
+    "verify": (cmd_verify, "Monte Carlo vs closed-form suite (CSV)"),
 }
 
 
@@ -500,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI config file path")
     common.add_argument("--out", help="CSV output path (default: stdout)")
     common.add_argument("--seed", type=int, help="Monte Carlo seed (u64)")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+    common.add_argument(
+        "--trials", type=int, help="Monte Carlo trials per point (fig1, verify)"
+    )
     common.add_argument(
         "--units",
         choices=("linear", "dbm"),
@@ -513,22 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pilot/data allocation design for covert wireless links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("design", parents=[common], help="solve one covert design")
-    sub.add_parser("fig1", parents=[common], help="warden error vs power split (CSV)")
-    sub.add_parser("fig2", parents=[common], help="effective SINR vs pilot count (CSV)")
-    sub.add_parser("fig3", parents=[common], help="optimal pilot count vs covertness (CSV)")
-    sub.add_parser("sweep", parents=[common], help="detection metrics vs average power (CSV)")
-    sub.add_parser("verify", parents=[common], help="Monte Carlo vs closed-form suite (CSV)")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        handler, _ = _COMMANDS[args.command]
+        return handler(args)
     except TrialBudgetError as exc:
         print(f"monte carlo budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -86,9 +86,7 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class LikelihoodRatioTest:
-    """Log-likelihood-ratio detector; threshold 0 minimizes alpha + beta."""
-
-    log_threshold: float = 0.0
+    """Log-likelihood-ratio detector at threshold 0, which minimizes alpha + beta."""
 
 
 @dataclass(frozen=True)
@@ -207,7 +205,6 @@ def _decides_h1(
         threshold = (
             alloc.n_p * math.log1p(alloc.rho_p / sw2)
             + alloc.n_d * math.log1p(alloc.rho_d / sw2)
-            + detector.log_threshold
         )
         return w_p * pilot_energy + w_d * data_energy > threshold
     raise TypeError(f"unknown detector type: {detector!r}")

@@ -1,10 +1,13 @@
 """Tests for the command-line front end."""
 
+import argparse
+import configparser
 import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,22 @@ from covertpilot.cli import (
 )
 from covertpilot.detection import covert_margin
 from covertpilot.monte_carlo import McEstimate
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_ini():
+    """The README's INI example, the text of its first ```ini block."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def resolve(tmp_path, text, command="design", *flags):
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    args = build_parser().parse_args([command, "--config", str(config), *flags])
+    return cli.resolve_run_config(args, command)
 
 
 def read_csv(path):
@@ -77,10 +96,108 @@ class TestConfigHandling:
         assert "noise_floor" in capsys.readouterr().err
 
     def test_invalid_value_names_field(self, tmp_path, capsys):
+        # SystemConfig's ValueError reaches main as it is, with no rewrap
         config = tmp_path / "run.ini"
         config.write_text("[system]\nepsilon = 1.5\n")
         assert main(["design", "--config", str(config)]) == EXIT_CONFIG
-        assert "epsilon" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "config error: epsilon must lie in (0, 1), got 1.5\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["design", "fig2", "fig3", "sweep"])
+    @pytest.mark.parametrize("trials", ["5", "5000"])
+    def test_trials_flag_refused_without_monte_carlo(self, capsys, command, trials):
+        assert main([command, "--trials", trials]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fig1", "verify"])
+    def test_trials_flag_sets_the_monte_carlo_commands(self, tmp_path, command):
+        assert resolve(tmp_path, "", command, "--trials", "5000")["trials"] == 5000
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_seed_flag_accepted_everywhere(self, tmp_path, command):
+        assert resolve(tmp_path, "", command, "--seed", "5")["seed"] == 5
+        assert resolve(tmp_path, "", command)["seed"] == cli.DEFAULT_SEED
+
+    def test_subcommands_and_keys_are_listed_once(self):
+        assert set(cli._SECTIONS) == {"system", *cli._COMMANDS}
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(subparsers.choices) == list(cli._COMMANDS)
+        keys = {key for section in cli._SECTIONS.values() for key in section}
+        assert keys == set(cli._PARSERS)
+        system = set(cli._SECTIONS["system"]) - {"seed"}
+        assert system == {f.name for f in dataclasses.fields(cli.SystemConfig)}
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_readme_config_example_resolves(self, tmp_path, capsys, command):
+        resolved = resolve(tmp_path, readme_ini(), command)
+        cli.system_config(resolved)
+        assert (resolved["n"], resolved["epsilon"], resolved["seed"]) == (200, 0.05, 7)
+        assert resolved["sigma_w2"] == 1.0
+        assert capsys.readouterr().err == ""
+
+    def test_readme_config_example_sets_every_key(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(readme_ini())
+        shown = {section: set(parser.options(section)) for section in parser.sections()}
+        expected = {section: set(keys) for section, keys in cli._SECTIONS.items() if keys}
+        assert shown == expected
+
+    def test_readme_key_table_matches_the_tables(self):
+        text = README.read_text(encoding="utf-8")
+        lines = text.split("| section | key |", 1)[1].split("\n\n", 1)[0].splitlines()
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in lines[2:]
+        ]
+        table = {(section, key): (default, dbm) for section, key, default, _, dbm in rows}
+        assert set(table) == {
+            (section, key) for section, keys in cli._SECTIONS.items() for key in keys
+        }
+        for (section, key), (default, dbm) in table.items():
+            parse = cli._PARSERS[key]
+            is_power = parse is cli._parse_power
+            value = parse(key, default, "linear") if is_power else parse(key, default)
+            assert value == cli._SECTIONS[section][key], key
+            assert (dbm == "dBm") == is_power, key
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# note\n; note\n[system]\n# note\nn = 40\n; note\n",
+         "[system]\n  # indented note\nn = 40\n"],
+    )
+    def test_full_line_comments_are_accepted(self, tmp_path, text):
+        assert resolve(tmp_path, text)["n"] == 40
+
+    @pytest.mark.parametrize("marker", ["#", ";"])
+    def test_inline_comment_stays_in_the_value(self, tmp_path, capsys, marker):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\nepsilon = 0.05 {marker} tighter\n")
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config key 'epsilon': cannot parse '0.05 {marker} tighter'" in err
+
+    def test_keys_are_case_insensitive(self, tmp_path):
+        resolved = resolve(tmp_path, "[system]\nN = 50\nSigma_W2 = 3\n")
+        assert (resolved["n"], resolved["sigma_w2"]) == (50, 3.0)
+
+    def test_colon_delimiter(self, tmp_path):
+        resolved = resolve(tmp_path, "[system]\nn: 50\n[fig1]\neta_grid: 0.2:0.8:0.2\n", "fig1")
+        assert resolved["n"] == 50
+        assert resolved["eta_grid"] == [0.2, 0.4, 0.6, 0.8]
+
+    def test_duplicate_key_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nn = 50\nN = 60\n")
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "option 'n' in section 'system' already exists" in err
+        assert "Traceback" not in err
 
     def test_annotation_key_warned_and_ignored(self, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -159,7 +276,7 @@ class TestConfigHandling:
             assert len(grid) == points
 
     def test_default_grids_come_from_the_grid_parser(self):
-        defaults = cli._COMMAND_DEFAULTS
+        defaults = cli._SECTIONS
         assert defaults["fig1"]["eta_grid"] == [round(0.05 * k, 12) for k in range(1, 20)]
         assert defaults["fig3"]["epsilon_grid"] == [round(0.02 * k, 12) for k in range(1, 16)]
 
