@@ -201,14 +201,18 @@ def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
             raise ConfigError(f"cannot read config file {path!r}: {exc}")
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path!r}: {exc}")
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(f"unknown config section [{section}]")
     if parser.defaults():
         raise ConfigError(
             f"config section [{parser.default_section}] is not supported; "
             "put its keys in [system] or a subcommand section"
         )
+    # every section's key names are checked, not only the running command's
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in _SECTIONS[section] and key not in _ANNOTATION_KEYS:
+                raise ConfigError(f"unknown config key '{key}' in section [{section}]")
     return parser
 
 
@@ -229,8 +233,6 @@ def _collect_section(
                 file=sys.stderr,
             )
             continue
-        if key not in _SECTIONS[section]:
-            raise ConfigError(f"unknown config key '{key}' in section [{section}]")
         resolved[key] = raw
 
 

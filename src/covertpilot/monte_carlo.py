@@ -19,10 +19,13 @@ Sample-level observation vectors remain available through
 draw_willie_observation for model-level checks.
 
 Determinism: trials are processed in fixed-size chunks and every chunk
-draws from its own Philox substream keyed by (seed, domain, chunk
-index).  Counts are reduced as exact integers, so estimates are
-bit-identical for a given (seed, config) regardless of how chunks are
-scheduled.
+draws from its own SFC64 substream, seeded by SeedSequence(seed,
+spawn_key=(domain, chunk index)).  SeedSequence pads the 64-bit seed
+to a fixed width before it appends the spawn key, so no two (seed,
+domain, chunk) share a state, as they can when the three form one flat
+entropy list.  Counts are reduced as
+exact integers, so estimates are bit-identical for a given (seed,
+config) regardless of how chunks are scheduled.
 
 numpy is imported by the functions that draw, not by the module, so the
 closed-form commands never load it.
@@ -128,10 +131,12 @@ class BobEstimationDiagnostics:
 
 
 def _stream(seed: int, domain: int, chunk: int) -> np.random.Generator:
-    import numpy as np
+    from numpy.random import SFC64, Generator, SeedSequence
 
-    key = np.array([seed, (domain << 48) | chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # spawn_key keeps (domain, chunk) apart from the seed's words; a flat
+    # entropy list [seed, domain, chunk] lets seed 5 + 2**32 at chunk 0
+    # collide with seed 5 at chunk 1
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(domain, chunk))))
 
 
 def _chunks(trials: int) -> Iterator[Tuple[int, int]]:

@@ -90,10 +90,12 @@ class TestUnitConversion:
 
 class TestConfigHandling:
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
+        # [fig1] is not read by design, but its key names are still checked
         config = tmp_path / "run.ini"
-        config.write_text("[system]\nnoise_floor = 1.0\n")
-        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
-        assert "noise_floor" in capsys.readouterr().err
+        for text, key in [("[system]\nnoise_floor = 1.0\n", "noise_floor"), ("[fig1]\nbogus = 1\n", "bogus")]:
+            config.write_text(text)
+            assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+            assert key in capsys.readouterr().err
 
     def test_invalid_value_names_field(self, tmp_path, capsys):
         # SystemConfig's ValueError reaches main as it is, with no rewrap
