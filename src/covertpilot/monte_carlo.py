@@ -22,8 +22,8 @@ Determinism: trials are processed in fixed-size chunks and every chunk
 draws from its own SFC64 substream, seeded by SeedSequence(seed,
 spawn_key=(domain, chunk index)).  SeedSequence pads the 64-bit seed
 to a fixed width before it appends the spawn key, so no two (seed,
-domain, chunk) share a state, as they can when the three form one flat
-entropy list.  Counts are reduced as
+domain, chunk) share a state; as one flat entropy list they can (seed
+5 + 2**32 at chunk 0 and seed 5 at chunk 1 do).  Counts are reduced as
 exact integers, so estimates are bit-identical for a given (seed,
 config) regardless of how chunks are scheduled.
 
@@ -133,9 +133,6 @@ class BobEstimationDiagnostics:
 def _stream(seed: int, domain: int, chunk: int) -> np.random.Generator:
     from numpy.random import SFC64, Generator, SeedSequence
 
-    # spawn_key keeps (domain, chunk) apart from the seed's words; a flat
-    # entropy list [seed, domain, chunk] lets seed 5 + 2**32 at chunk 0
-    # collide with seed 5 at chunk 1
     return Generator(SFC64(SeedSequence(seed, spawn_key=(domain, chunk))))
 
 

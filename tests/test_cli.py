@@ -92,7 +92,8 @@ class TestConfigHandling:
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         # [fig1] is not read by design, but its key names are still checked
         config = tmp_path / "run.ini"
-        for text, key in [("[system]\nnoise_floor = 1.0\n", "noise_floor"), ("[fig1]\nbogus = 1\n", "bogus")]:
+        cases = [("[system]\nnoise_floor = 1.0\n", "noise_floor"), ("[fig1]\nbogus = 1\n", "bogus")]
+        for text, key in cases:
             config.write_text(text)
             assert main(["design", "--config", str(config)]) == EXIT_CONFIG
             assert key in capsys.readouterr().err
