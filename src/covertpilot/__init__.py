@@ -10,21 +10,17 @@ from .detection import (
     DetectionReport,
     covert_margin,
     covertness_lower_bound,
-    detection_report,
     kl_divergence,
     kl_divergence_deta,
     min_detection_error,
     optimal_threshold,
 )
 from .link_model import (
-    EstimationStats,
     PowerAllocation,
     SystemConfig,
     effective_sinr,
     effective_sinr_equal_power,
-    estimation_stats,
     sinr,
-    sinr_eta,
 )
 from .monte_carlo import (
     BobEstimationDiagnostics,
@@ -34,11 +30,8 @@ from .monte_carlo import (
     Radiometer,
     TrialBudgetError,
     WillieErrorRates,
-    WillieObservation,
     bob_estimation_diagnostics,
     count_detector_disagreements,
-    draw_willie_observation,
-    segment_energies,
     simulate_bob_sinr,
     simulate_willie,
 )
@@ -58,7 +51,6 @@ __all__ = [
     "BobEstimationDiagnostics",
     "DesignResult",
     "DetectionReport",
-    "EstimationStats",
     "LikelihoodRatioTest",
     "McConfig",
     "McEstimate",
@@ -68,17 +60,13 @@ __all__ = [
     "SystemConfig",
     "TrialBudgetError",
     "WillieErrorRates",
-    "WillieObservation",
     "bob_estimation_diagnostics",
     "count_detector_disagreements",
     "covert_margin",
     "covertness_lower_bound",
     "design",
-    "detection_report",
-    "draw_willie_observation",
     "effective_sinr",
     "effective_sinr_equal_power",
-    "estimation_stats",
     "kl_divergence",
     "kl_divergence_deta",
     "min_detection_error",
@@ -86,10 +74,8 @@ __all__ = [
     "np_sensitivity",
     "np_star",
     "optimal_threshold",
-    "segment_energies",
     "simulate_bob_sinr",
     "simulate_willie",
     "sinr",
-    "sinr_eta",
     "solve_rho_star",
 ]

@@ -84,10 +84,7 @@ def _parse_power(key: str, raw: str, units: str) -> float:
     if text.lower().endswith("dbm"):
         text = text[:-3].strip()
         is_dbm = True
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': cannot parse {raw!r} as a number")
+    value = _parse_float(key, raw, text)
     if not is_dbm:
         return value
     try:
@@ -96,11 +93,15 @@ def _parse_power(key: str, raw: str, units: str) -> float:
         raise ConfigError(f"config key '{key}': {raw!r} is out of range")
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(key: str, raw: str, text: Optional[str] = None) -> float:
+    """The finite number in `text` (default `raw`); messages quote `raw`."""
     try:
-        return float(raw)
+        value = float(raw if text is None else text)
     except ValueError:
         raise ConfigError(f"config key '{key}': cannot parse {raw!r} as a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"config key '{key}': {raw!r} is not a finite number")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -127,7 +128,7 @@ def _parse_grid(key: str, raw: str) -> List[float]:
         if not (step > 0 and stop >= start):
             raise ConfigError(f"config key '{key}': grid bounds are not increasing")
         intervals = (stop - start) / step
-        # refuses inf and nan as well
+        # refuses a count that overflows to inf as well
         if not intervals < _MAX_GRID_POINTS - 0.5:
             raise ConfigError(
                 f"config key '{key}': grid {raw!r} has more than "
@@ -401,6 +402,10 @@ def cmd_sweep(args) -> int:
     lo, hi, points = resolved["rho_min"], resolved["rho_max"], resolved["rho_points"]
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("config keys 'rho_min'/'rho_max'/'rho_points': invalid grid")
+    if points > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"config key 'rho_points': {points} is more than {_MAX_GRID_POINTS} points"
+        )
 
     rows = []
     for i in range(points):

@@ -12,10 +12,9 @@ behind alpha and beta integrates the same Gamma(n, 1) density as the
 covert margin, with the same quadrature.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
 from .specfun import expm1mx, stirlerr
@@ -23,18 +22,14 @@ from .specfun import expm1mx, stirlerr
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Warden detection metrics for one allocation.
-
-    tau_star, xi_star, alpha and beta have closed forms only in the
-    equal-power regime and are None otherwise.
-    """
+    """Warden detection metrics at equal pilot and data power."""
 
     d01: float
     xi_lower_bound: float
-    tau_star: Optional[float] = None
-    xi_star: Optional[float] = None
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
+    tau_star: float
+    xi_star: float
+    alpha: float
+    beta: float
 
 
 def _per_sample_divergence(snr: float) -> float:
@@ -303,20 +298,3 @@ def reg_lower_gamma(n: int, x: float) -> float:
     if x > n:
         return 1.0 - _gamma_tail(n, x, upper=True)
     return _gamma_tail(n, x, upper=False)
-
-
-def detection_report(cfg: SystemConfig, alloc: PowerAllocation) -> DetectionReport:
-    """Full detection report for an allocation.
-
-    The KL divergence and the covertness lower bound are always
-    available; the closed-form threshold and error probabilities exist
-    only when the pilot and data powers match.
-    """
-    d01 = kl_divergence(cfg, alloc)
-    if alloc.rho > 0 and alloc.is_equal_power():
-        return dataclasses.replace(
-            min_detection_error(cfg, alloc.rho),
-            d01=d01,
-            xi_lower_bound=covertness_lower_bound(d01),
-        )
-    return DetectionReport(d01=d01, xi_lower_bound=covertness_lower_bound(d01))

@@ -1,9 +1,9 @@
 """Alice-Bob link analytics.
 
-Covers the MMSE channel-estimation variance split, the post-estimation
-SINR in both the per-segment power and the power-fraction
-parameterizations, and the effective SINR per channel use, which charges
-the pilot overhead (n - n_p)/n against the data phase.
+Covers the slot and power-allocation types, the post-estimation SINR of
+the data phase under MMSE channel estimation from the pilots, and the
+effective SINR per channel use, which charges the pilot overhead
+(n - n_p)/n against the data phase.
 
 All powers and variances are linear scale; dBm conversion is a CLI
 concern.
@@ -116,41 +116,11 @@ class PowerAllocation:
         return abs(self.rho_p - self.rho_d) < _EQUAL_POWER_RTOL * self.rho
 
 
-@dataclass(frozen=True)
-class EstimationStats:
-    """MMSE split of the fading coefficient into estimate and error."""
-
-    var_h_hat: float  # variance of the channel estimate
-    var_h_tilde: float  # variance of the estimation error
-    var_eff_noise: float  # variance of the effective noise in the data phase
-
-
 def _check_alloc(cfg: SystemConfig, alloc: PowerAllocation) -> None:
     if alloc.n != cfg.n:
         raise ValueError(
             f"allocation is for n={alloc.n} but the system config has n={cfg.n}"
         )
-
-
-def estimation_stats(cfg: SystemConfig, alloc: PowerAllocation) -> EstimationStats:
-    """Variances of the MMSE channel estimate, its error, and the effective noise.
-
-    With pilot energy E_p = n_p * rho_p:
-        var_h_hat   = lambda^2 E_p / (lambda E_p + sigma_b2)
-        var_h_tilde = lambda sigma_b2 / (lambda E_p + sigma_b2)
-    which satisfy var_h_hat + var_h_tilde = lambda exactly.
-    """
-    _check_alloc(cfg, alloc)
-    lam = cfg.lambda_ab
-    pilot_energy = alloc.n_p * alloc.rho_p
-    denom = lam * pilot_energy + cfg.sigma_b2
-    var_h_hat = lam * lam * pilot_energy / denom
-    var_h_tilde = lam * cfg.sigma_b2 / denom
-    return EstimationStats(
-        var_h_hat=var_h_hat,
-        var_h_tilde=var_h_tilde,
-        var_eff_noise=cfg.sigma_b2 + alloc.rho_d * var_h_tilde,
-    )
 
 
 def sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:
@@ -165,30 +135,6 @@ def sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:
     pilot_energy = alloc.n_p * alloc.rho_p
     num = alloc.rho_d * lam * lam * pilot_energy
     den = sb2 * sb2 + alloc.rho_d * lam * sb2 + sb2 * lam * pilot_energy
-    return num / den
-
-
-def sinr_eta(cfg: SystemConfig, rho: float, eta: float, n_p: int) -> float:
-    """SINR in the (rho, eta, n_p) parameterization.
-
-    gamma = lambda^2 rho n eta (1 - eta)
-            / ((n - n_p) sigma_b2 [lambda (1 - eta) + sigma_b2 / (rho n)
-                                   + lambda eta / (n - n_p)])
-
-    Algebraically identical to sinr() on the induced allocation.
-    """
-    if not 1 <= n_p <= cfg.n - 1:
-        raise ValueError(f"n_p must lie in [1, n-1], got {n_p!r}")
-    if not (rho > 0):
-        raise ValueError(f"sinr_eta requires rho > 0, got {rho!r}")
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
-    lam = cfg.lambda_ab
-    sb2 = cfg.sigma_b2
-    n = cfg.n
-    n_d = n - n_p
-    num = lam * lam * rho * n * eta * (1.0 - eta)
-    den = n_d * sb2 * (lam * (1.0 - eta) + sb2 / (rho * n) + lam * eta / n_d)
     return num / den
 
 

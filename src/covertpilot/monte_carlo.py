@@ -15,8 +15,6 @@ average is drawn directly as well, in one pass that feeds both the SINR
 estimate and the estimation diagnostics.
 Each pass is memoised for the last (config, allocation, Monte Carlo
 settings), so a second reader of one stream draws nothing.
-Sample-level observation vectors remain available through
-draw_willie_observation for model-level checks.
 
 Determinism: trials are processed in fixed-size chunks and every chunk
 draws from its own SFC64 substream, seeded by SeedSequence(seed,
@@ -109,18 +107,6 @@ class WillieErrorRates(NamedTuple):
 
 
 @dataclass(frozen=True)
-class WillieObservation:
-    """One slot of warden samples under a stated hypothesis."""
-
-    samples: np.ndarray
-    hypothesis: str  # "H0" or "H1"
-
-    def __post_init__(self):
-        if self.hypothesis not in ("H0", "H1"):
-            raise ValueError(f"hypothesis must be 'H0' or 'H1', got {self.hypothesis!r}")
-
-
-@dataclass(frozen=True)
 class BobEstimationDiagnostics:
     """Empirical MMSE statistics from the Bob-side simulation."""
 
@@ -155,39 +141,6 @@ def _complex_normal(rng: np.random.Generator, var: float, size: int) -> np.ndarr
     # circularly symmetric: two real Gaussians of variance var/2 per component
     scale = math.sqrt(var / 2.0)
     return scale * rng.standard_normal(size) + 1j * scale * rng.standard_normal(size)
-
-
-def draw_willie_observation(
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    hypothesis: str,
-    rng: np.random.Generator,
-) -> WillieObservation:
-    """Sample-level warden observation for one slot.
-
-    Under H0 all n samples are CN(0, sigma_w2).  Under H1 the pilot and
-    data symbols are Gaussian from the warden's point of view (it knows
-    their statistics, not their values), so the first n_p samples are
-    CN(0, rho_p + sigma_w2) and the rest CN(0, rho_d + sigma_w2).
-    """
-    import numpy as np
-
-    sw2 = cfg.sigma_w2
-    if hypothesis == "H0":
-        samples = _complex_normal(rng, sw2, cfg.n)
-    else:
-        pilot = _complex_normal(rng, alloc.rho_p + sw2, alloc.n_p)
-        data = _complex_normal(rng, alloc.rho_d + sw2, alloc.n_d)
-        samples = np.concatenate([pilot, data])
-    return WillieObservation(samples=samples, hypothesis=hypothesis)
-
-
-def segment_energies(obs: WillieObservation, n_p: int) -> Tuple[float, float]:
-    """Total |y|^2 in the pilot and data segments of an observation."""
-    import numpy as np
-
-    energy = np.abs(obs.samples) ** 2
-    return float(np.sum(energy[:n_p])), float(np.sum(energy[n_p:]))
 
 
 def _decides_h1(

@@ -222,15 +222,24 @@ class TestConfigHandling:
             ("sigma_w2", "4000 dBm"),
             ("epsilon", "inf"),
             ("epsilon", "nan"),
+            ("rho", "inf"),
+            ("rho", "-inf dBm"),
+            ("rho_min", "nan"),
+            ("rho_max", "inf"),
+            ("epsilon_values", "0.1, inf"),
         ],
     )
     def test_non_finite_value_names_field(self, tmp_path, capsys, key, raw):
-        config = tmp_path / "run.ini"
-        config.write_text(f"[system]\n{key} = {raw}\n")
-        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert key in err
-        assert "Traceback" not in err
+        # a [system] key is read by design; a subcommand key by every
+        # subcommand whose section takes it
+        commands = [c for c in cli._COMMANDS if key in cli._SECTIONS[c]]
+        for command in commands or ["design"]:
+            config = tmp_path / "run.ini"
+            config.write_text(f"[{command if commands else 'system'}]\n{key} = {raw}\n")
+            assert main([command, "--config", str(config)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"config key '{key}'" in err
+            assert "Traceback" not in err
 
     def test_percent_in_value_is_a_config_error(self, tmp_path, capsys):
         # configparser reads a bare '%' as the start of an interpolation
@@ -277,6 +286,23 @@ class TestConfigHandling:
         else:
             grid = cli.resolve_run_config(args, "fig3")["epsilon_grid"]
             assert len(grid) == points
+
+    def test_rho_points_cap(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.ini"
+        out = tmp_path / "sweep.csv"
+
+        def sweep(points):
+            config.write_text(f"[sweep]\nrho_points = {points}\n")
+            return main(["sweep", "--config", str(config), "--out", str(out)])
+
+        assert sweep(20_000) == EXIT_CONFIG
+        assert "'rho_points'" in capsys.readouterr().err
+        assert not out.exists()
+        # the cap admits exactly _MAX_GRID_POINTS rows
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
+        assert sweep(5) == EXIT_CONFIG
+        assert sweep(4) == EXIT_OK
+        assert len(read_csv(out)[1]) == 4
 
     def test_default_grids_come_from_the_grid_parser(self):
         defaults = cli._SECTIONS

@@ -1,5 +1,6 @@
 """Tests for the warden-side detection analytics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from covertpilot.detection import (
     _GL_HALF,
+    DetectionReport,
     covert_margin,
     covertness_lower_bound,
-    detection_report,
     kl_divergence,
     kl_divergence_deta,
     min_detection_error,
@@ -193,35 +194,24 @@ class TestMinDetectionError:
 
 class TestDetectionReport:
     def test_equal_power_fills_analytic_fields(self):
-        cfg = make_cfg(n=100)
-        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
-        rep = detection_report(cfg, alloc)
-        assert rep.tau_star is not None
-        assert rep.xi_star == pytest.approx(rep.alpha + rep.beta, abs=1e-12)
-        assert rep.xi_lower_bound <= rep.xi_star + 1e-9
-
-    def test_unequal_power_leaves_them_absent(self):
-        cfg = make_cfg(n=100)
-        rep = detection_report(cfg, PowerAllocation(n=100, rho=0.05, eta=0.5, n_p=20))
-        assert rep.tau_star is None
-        assert rep.xi_star is None
-        assert rep.alpha is None
-        assert rep.d01 > 0
+        # the report exists only at equal power, so every field is required
+        rep = min_detection_error(make_cfg(n=100), 0.05)
+        for field in dataclasses.fields(DetectionReport):
+            assert isinstance(getattr(rep, field.name), float), field.name
+        with pytest.raises(TypeError):
+            DetectionReport(d01=rep.d01, xi_lower_bound=rep.xi_lower_bound)
 
     def test_split_invariance_at_equal_power(self):
-        # the closed form takes only n, so reports for different splits match
+        # the closed form takes only n; its d01 is the KL divergence of
+        # every equal-power split
         cfg = make_cfg(n=100)
-        reports = [
-            detection_report(cfg, PowerAllocation.equal_power(n=100, rho=0.05, n_p=k))
-            for k in (1, 20, 50, 99)
-        ]
-        first = reports[0]
-        for rep in reports[1:]:
-            assert rep.xi_star == first.xi_star
-            assert rep.tau_star == first.tau_star
-            assert rep.alpha == first.alpha
-            assert rep.beta == first.beta
-            assert rep.d01 == pytest.approx(first.d01, rel=1e-12)
+        rep = min_detection_error(cfg, 0.05)
+        for k in (1, 20, 50, 99):
+            d01 = kl_divergence(cfg, PowerAllocation.equal_power(n=100, rho=0.05, n_p=k))
+            assert d01 == pytest.approx(rep.d01, rel=1e-12)
+            assert covertness_lower_bound(d01) == pytest.approx(
+                rep.xi_lower_bound, rel=1e-12
+            )
 
 
 def design_snrs(n):

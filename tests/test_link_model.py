@@ -6,19 +6,32 @@ import numpy as np
 import pytest
 
 from covertpilot.link_model import (
-    EstimationStats,
     PowerAllocation,
     SystemConfig,
     effective_sinr,
     effective_sinr_equal_power,
-    estimation_stats,
     sinr,
-    sinr_eta,
 )
 
 
 def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
     return SystemConfig(n=n, lambda_ab=lam, sigma_b2=sb2, sigma_w2=sw2, epsilon=eps)
+
+
+def sinr_eta_form(cfg, rho, eta, n_p):
+    """Oracle: the SINR written in the (rho, eta, n_p) parameterization.
+
+    gamma = lambda^2 rho n eta (1 - eta)
+            / ((n - n_p) sigma_b2 [lambda (1 - eta) + sigma_b2 / (rho n)
+                                   + lambda eta / (n - n_p)])
+    """
+    lam = cfg.lambda_ab
+    sb2 = cfg.sigma_b2
+    n = cfg.n
+    n_d = n - n_p
+    num = lam * lam * rho * n * eta * (1.0 - eta)
+    den = n_d * sb2 * (lam * (1.0 - eta) + sb2 / (rho * n) + lam * eta / n_d)
+    return num / den
 
 
 def random_alloc(rng, n=None):
@@ -94,45 +107,6 @@ class TestPowerAllocation:
             assert a.rho_d == pytest.approx(rho_d, rel=1e-12)
 
 
-class TestEstimationStats:
-    def test_direct_substitution(self):
-        # lambda = 1, sigma_b2 = 1, n_p * rho_p = 1 gives a 50/50 split
-        cfg = make_cfg(n=10)
-        alloc = PowerAllocation.from_powers(n=10, rho_p=0.5, rho_d=1.0, n_p=2)
-        st = estimation_stats(cfg, alloc)
-        assert st.var_h_hat == pytest.approx(0.5, rel=1e-12)
-        assert st.var_h_tilde == pytest.approx(0.5, rel=1e-12)
-
-    def test_mmse_decomposition(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            n = int(rng.integers(2, 300))
-            cfg = make_cfg(
-                n=n,
-                lam=float(rng.uniform(0.1, 4.0)),
-                sb2=float(rng.uniform(0.1, 4.0)),
-            )
-            alloc = random_alloc(rng, n=n)
-            st = estimation_stats(cfg, alloc)
-            assert st.var_h_hat + st.var_h_tilde == pytest.approx(
-                cfg.lambda_ab, rel=1e-12
-            )
-            assert st.var_eff_noise == pytest.approx(
-                cfg.sigma_b2 + alloc.rho_d * st.var_h_tilde, rel=1e-12
-            )
-
-    def test_limits(self):
-        cfg = make_cfg(n=10)
-        no_pilot_energy = PowerAllocation(n=10, rho=1.0, eta=1.0 - 1e-15, n_p=2)
-        st = estimation_stats(cfg, no_pilot_energy)
-        assert st.var_h_hat == pytest.approx(0.0, abs=1e-12)
-        assert st.var_h_tilde == pytest.approx(cfg.lambda_ab, rel=1e-12)
-
-        huge = PowerAllocation.from_powers(n=10, rho_p=1e12, rho_d=1.0, n_p=2)
-        st = estimation_stats(cfg, huge)
-        assert st.var_h_tilde == pytest.approx(0.0, abs=1e-11)
-
-
 class TestSinr:
     def test_no_data_power_gives_zero(self):
         cfg = make_cfg(n=10)
@@ -146,16 +120,11 @@ class TestSinr:
         assert sinr(cfg, alloc) == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert effective_sinr(cfg, alloc) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
-    def test_eta_form_unit_case(self):
-        cfg = make_cfg(n=2)
-        assert sinr_eta(cfg, rho=1.0, eta=0.5, n_p=1) == pytest.approx(
-            1.0 / 3.0, rel=1e-12
-        )
-
     def test_eta_form_vanishes_at_extremes(self):
+        # all energy on the pilots, or all on the data, leaves no SINR
         cfg = make_cfg(n=50)
-        assert sinr_eta(cfg, 1.0, 1e-12, 10) < 1e-10
-        assert sinr_eta(cfg, 1.0, 1.0 - 1e-12, 10) < 1e-10
+        for eta in (1e-12, 1.0 - 1e-12):
+            assert sinr(cfg, PowerAllocation(n=50, rho=1.0, eta=eta, n_p=10)) < 1e-10
 
     def test_parameterization_identity(self):
         rng = np.random.default_rng(6)
@@ -170,7 +139,7 @@ class TestSinr:
             eta = float(rng.uniform(0.02, 0.98))
             n_p = int(rng.integers(1, n))
             alloc = PowerAllocation(n=n, rho=rho, eta=eta, n_p=n_p)
-            assert sinr_eta(cfg, rho, eta, n_p) == pytest.approx(
+            assert sinr_eta_form(cfg, rho, eta, n_p) == pytest.approx(
                 sinr(cfg, alloc), rel=1e-10
             )
 
@@ -229,12 +198,6 @@ class TestEqualPowerClosedForm:
         changes = np.diff(signs)
         assert np.count_nonzero(changes < 0) == 1
         assert np.count_nonzero(changes > 0) == 0
-
-
-def test_estimation_stats_type():
-    cfg = make_cfg(n=10)
-    alloc = PowerAllocation.equal_power(n=10, rho=1.0, n_p=2)
-    assert isinstance(estimation_stats(cfg, alloc), EstimationStats)
 
 
 def test_alloc_config_mismatch_rejected():
