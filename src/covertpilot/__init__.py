@@ -19,7 +19,6 @@ from .link_model import (
     PowerAllocation,
     SystemConfig,
     effective_sinr,
-    effective_sinr_equal_power,
     sinr,
 )
 from .monte_carlo import (
@@ -66,7 +65,6 @@ __all__ = [
     "covertness_lower_bound",
     "design",
     "effective_sinr",
-    "effective_sinr_equal_power",
     "kl_divergence",
     "kl_divergence_deta",
     "min_detection_error",

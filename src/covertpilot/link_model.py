@@ -13,7 +13,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-# pilot and data powers within this fraction of rho count as equal
+# pilot and data powers within this fraction of the larger count as equal:
+# a split at eta = n_d / n lands an ulp or so off rho_p == rho_d
 _EQUAL_POWER_RTOL = 1e-9
 
 
@@ -50,70 +51,63 @@ class SystemConfig:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
 
 
+def _check_slot(n, n_p) -> None:
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if not _is_integer(n_p):
+        raise ValueError(f"n_p must be an integer, got {n_p!r}")
+    if not 1 <= n_p <= n - 1:
+        raise ValueError(f"n_p must lie in [1, n-1], got {n_p!r} for n={n}")
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Joint description of average power, power split, and pilot count.
+    """Per-symbol powers of a slot of n symbols, the first n_p of them pilots.
 
-    rho is the average power over all n symbols, eta the fraction of the
-    total energy rho*n carried by the data segment, n_p the number of
-    pilot symbols.  rho = 0 is allowed so that no-transmission limits can
-    be expressed.
+    rho_p is the power of each pilot symbol and rho_d that of each of the
+    n - n_p data symbols.  Zero power is allowed so that no-transmission
+    limits can be expressed.
     """
 
     n: int
-    rho: float
-    eta: float
     n_p: int
+    rho_p: float
+    rho_d: float
 
     def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not _is_integer(self.n_p):
-            raise ValueError(f"n_p must be an integer, got {self.n_p!r}")
-        if not 1 <= self.n_p <= self.n - 1:
-            raise ValueError(f"n_p must lie in [1, n-1], got {self.n_p!r} for n={self.n}")
-        if not (self.rho >= 0):
-            raise ValueError(f"rho must be nonnegative, got {self.rho!r}")
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta!r}")
+        _check_slot(self.n, self.n_p)
+        for name in ("rho_p", "rho_d"):
+            value = getattr(self, name)
+            if not (value >= 0):
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
     @property
     def n_d(self) -> int:
         return self.n - self.n_p
 
-    @property
-    def rho_p(self) -> float:
-        """Per-symbol pilot power: the (1 - eta) energy share over n_p symbols."""
-        return (1.0 - self.eta) * self.rho * self.n / self.n_p
-
-    @property
-    def rho_d(self) -> float:
-        """Per-symbol data power: the eta energy share over n_d symbols."""
-        return self.eta * self.rho * self.n / self.n_d
-
     @classmethod
     def equal_power(cls, n: int, rho: float, n_p: int) -> "PowerAllocation":
-        """Allocation with rho_p == rho_d == rho, i.e. eta = n_d / n."""
-        return cls(n=n, rho=rho, eta=(n - n_p) / n, n_p=n_p)
+        """Allocation with rho_p == rho_d == rho exactly."""
+        return cls(n=n, n_p=n_p, rho_p=rho, rho_d=rho)
 
     @classmethod
-    def from_powers(cls, n: int, rho_p: float, rho_d: float, n_p: int) -> "PowerAllocation":
-        """Build from per-segment powers; both must be strictly positive.
+    def split(cls, n: int, rho: float, eta: float, n_p: int) -> "PowerAllocation":
+        """Average power rho over n symbols, the fraction eta of the energy rho*n as data.
 
-        A segment with exactly zero power has eta at an endpoint and is
-        representable only as a limit.
+        The pilots carry (1 - eta) rho n / n_p each and the data symbols
+        eta rho n / n_d; eta = n_d / n is equal power.
         """
-        if not (rho_p > 0) or not (rho_d > 0):
-            raise ValueError("from_powers requires rho_p > 0 and rho_d > 0")
-        n_d = n - n_p
-        rho = (rho_p * n_p + rho_d * n_d) / n
-        eta = rho_d * n_d / (rho * n)
-        return cls(n=n, rho=rho, eta=eta, n_p=n_p)
+        _check_slot(n, n_p)
+        if not (rho >= 0):
+            raise ValueError(f"rho must be nonnegative, got {rho!r}")
+        if not (0.0 < eta < 1.0):
+            raise ValueError(f"eta must lie in (0, 1), got {eta!r}")
+        return cls(
+            n=n, n_p=n_p, rho_p=(1.0 - eta) * rho * n / n_p, rho_d=eta * rho * n / (n - n_p)
+        )
 
     def is_equal_power(self) -> bool:
-        if self.rho == 0.0:
-            return True
-        return abs(self.rho_p - self.rho_d) < _EQUAL_POWER_RTOL * self.rho
+        return abs(self.rho_p - self.rho_d) <= _EQUAL_POWER_RTOL * max(self.rho_p, self.rho_d)
 
 
 def _check_alloc(cfg: SystemConfig, alloc: PowerAllocation) -> None:
@@ -141,19 +135,3 @@ def sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:
 def effective_sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:
     """SINR per channel use after charging the pilot overhead: ((n - n_p)/n) * gamma."""
     return (cfg.n - alloc.n_p) / cfg.n * sinr(cfg, alloc)
-
-
-def effective_sinr_equal_power(cfg: SystemConfig, rho, n_p):
-    """Closed form of the effective SINR when rho_p == rho_d == rho.
-
-    ((n - n_p)/n) * lambda^2 rho^2 n_p / (sigma_b2 (sigma_b2 + lambda rho (n_p + 1)))
-
-    Accepts scalars or numpy arrays for rho and n_p, which makes pilot
-    sweeps cheap.
-    """
-    lam = cfg.lambda_ab
-    sb2 = cfg.sigma_b2
-    n = cfg.n
-    return ((n - n_p) / n) * (lam * lam * rho * rho * n_p) / (
-        sb2 * (sb2 + lam * rho * (n_p + 1))
-    )

@@ -184,7 +184,7 @@ def _draw_segment_energies(
     sw2 = cfg.sigma_w2
     if alloc.is_equal_power():
         total_h0 = sw2 * rng.standard_gamma(cfg.n, size)
-        return (total_h0, 0.0), ((1.0 + alloc.rho / sw2) * total_h0, 0.0)
+        return (total_h0, 0.0), ((1.0 + alloc.rho_p / sw2) * total_h0, 0.0)
     pilot_h0 = sw2 * rng.standard_gamma(alloc.n_p, size)
     data_h0 = sw2 * rng.standard_gamma(alloc.n_d, size)
     return (pilot_h0, data_h0), (

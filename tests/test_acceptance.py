@@ -19,12 +19,7 @@ from covertpilot.detection import (
     kl_divergence_deta,
     min_detection_error,
 )
-from covertpilot.link_model import (
-    PowerAllocation,
-    SystemConfig,
-    effective_sinr_equal_power,
-    sinr,
-)
+from covertpilot.link_model import PowerAllocation, SystemConfig, sinr
 from covertpilot.monte_carlo import (
     LikelihoodRatioTest,
     McConfig,
@@ -35,6 +30,8 @@ from covertpilot.monte_carlo import (
     simulate_willie,
 )
 from covertpilot.optimizer import np_continuous, np_sensitivity, np_star, solve_rho_star
+
+from oracles import effective_sinr_closed_form
 
 
 @contextmanager
@@ -62,7 +59,7 @@ def test_criterion_1_equal_power_maximizes_warden_error():
             xi_mc = []
             bound = []
             for i, eta in enumerate(etas):
-                alloc = PowerAllocation(n=cfg.n, rho=rho, eta=eta, n_p=n_p)
+                alloc = PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p)
                 mc = McConfig(trials=100_000, seed=1000 + i)
                 xi_mc.append(simulate_willie(cfg, alloc, mc, LikelihoodRatioTest()).xi.value)
                 bound.append(covertness_lower_bound(kl_divergence(cfg, alloc)))
@@ -93,7 +90,7 @@ def test_criterion_2_closed_form_derivatives_match_finite_differences():
             eta = float(rng.uniform(0.05, 0.95))
 
             def d01(e):
-                return kl_divergence(cfg, PowerAllocation(n=n, rho=rho, eta=e, n_p=n_p))
+                return kl_divergence(cfg, PowerAllocation.split(n=n, rho=rho, eta=e, n_p=n_p))
 
             fd = _richardson(d01, eta, 1e-4 * min(eta, 1.0 - eta))
             if abs(fd) < 1e-9:
@@ -164,7 +161,7 @@ def test_criterion_5_integer_pilot_count_is_exhaustive_argmax():
             rho = float(rng.uniform(0.001, 4.0))
             best, _, _ = np_star(cfg, rho)
             candidates = np.arange(1, n)
-            brute = int(candidates[int(np.argmax(effective_sinr_equal_power(cfg, rho, candidates)))])
+            brute = int(candidates[int(np.argmax(effective_sinr_closed_form(cfg, rho, candidates)))])
             assert best == brute
 
 
@@ -218,7 +215,7 @@ def test_criterion_8_receiver_side_simulation_matches_analytics():
                 lam=float(rng.uniform(0.2, 3.0)),
                 sb2=float(rng.uniform(0.2, 3.0)),
             )
-            alloc = PowerAllocation(
+            alloc = PowerAllocation.split(
                 n=n,
                 rho=float(rng.uniform(0.05, 2.0)),
                 eta=float(rng.uniform(0.2, 0.9)),

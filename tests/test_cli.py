@@ -119,10 +119,35 @@ class TestConfigHandling:
     def test_trials_flag_sets_the_monte_carlo_commands(self, tmp_path, command):
         assert resolve(tmp_path, "", command, "--trials", "5000")["trials"] == 5000
 
-    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-    def test_seed_flag_accepted_everywhere(self, tmp_path, command):
+    @pytest.mark.parametrize("command", ["design", "fig2", "fig3", "sweep"])
+    def test_seed_flag_refused_without_monte_carlo(self, capsys, command):
+        assert main([command, "--seed", "5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fig1", "verify"])
+    def test_seed_flag_sets_the_monte_carlo_commands(self, tmp_path, command):
         assert resolve(tmp_path, "", command, "--seed", "5")["seed"] == 5
         assert resolve(tmp_path, "", command)["seed"] == cli.DEFAULT_SEED
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_config_seed_accepted_everywhere(self, tmp_path, command):
+        # [system] seed is part of every resolved config, so it enters the hash
+        resolved = resolve(tmp_path, "[system]\nseed = 5\n", command)
+        assert resolved["seed"] == 5
+        assert config_hash(resolved) != config_hash(resolve(tmp_path, "", command))
+
+    def test_default_config_hashes(self, tmp_path):
+        expected = {
+            "design": "f092ea752d32",
+            "fig1": "8ae5d66a4d32",
+            "fig2": "de33cbdaa11b",
+            "fig3": "fd7ad7c3a2f4",
+            "sweep": "d53315e152ef",
+            "verify": "23b11528a1be",
+        }
+        assert {c: config_hash(resolve(tmp_path, "", c)) for c in expected} == expected
 
     def test_subcommands_and_keys_are_listed_once(self):
         assert set(cli._SECTIONS) == {"system", *cli._COMMANDS}
@@ -202,13 +227,15 @@ class TestConfigHandling:
         assert "option 'n' in section 'system' already exists" in err
         assert "Traceback" not in err
 
-    def test_annotation_key_warned_and_ignored(self, tmp_path, capsys):
+    def test_annotation_key_refused(self, tmp_path, capsys):
+        # tau was once accepted as a caption annotation; no code reads it
         config = tmp_path / "run.ini"
-        config.write_text("[system]\ntau = 0 dBm\n")
-        assert main(["design", "--config", str(config)]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert "tau" in captured.err
-        assert "ignored" in captured.err
+        for section in ("system", "design", "sweep"):
+            config.write_text(f"[{section}]\ntau = 0 dBm\n")
+            assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert f"unknown config key 'tau' in section [{section}]" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "key,raw",
@@ -303,6 +330,20 @@ class TestConfigHandling:
         assert sweep(5) == EXIT_CONFIG
         assert sweep(4) == EXIT_OK
         assert len(read_csv(out)[1]) == 4
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [("1.2345e-9:3.2345e-9:1e-9", [1.2345e-9, 2.2345e-9, 3.2345e-9]),
+         ("1e-13:3e-13:1e-13", [1e-13, 2e-13, 3e-13])],
+    )
+    def test_grid_points_keep_their_digits(self, tmp_path, raw, expected):
+        # each point comes from the decimal text, not from rounding start + i step
+        config = tmp_path / "run.ini"
+        config.write_text(f"[fig3]\nepsilon_grid = {raw}\nn_values = 100\n")
+        out = tmp_path / "fig3.csv"
+        assert main(["fig3", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert column(header, rows, "epsilon") == expected
 
     def test_default_grids_come_from_the_grid_parser(self):
         defaults = cli._SECTIONS

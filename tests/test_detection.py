@@ -1,6 +1,7 @@
 """Tests for the warden-side detection analytics."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from covertpilot.detection import (
     optimal_threshold,
 )
 from covertpilot.link_model import PowerAllocation, SystemConfig
+from covertpilot.optimizer import solve_rho_star
 
 
 def make_cfg(n=100, sw2=1.0, eps=0.1):
@@ -31,7 +33,7 @@ def complex_gaussian_kl(v0: float, v1: float) -> float:
 class TestKlDivergence:
     def test_zero_power(self):
         cfg = make_cfg(n=10)
-        alloc = PowerAllocation(n=10, rho=0.0, eta=0.5, n_p=3)
+        alloc = PowerAllocation.split(n=10, rho=0.0, eta=0.5, n_p=3)
         assert kl_divergence(cfg, alloc) == 0.0
 
     def test_unit_case_against_oracle(self):
@@ -48,7 +50,7 @@ class TestKlDivergence:
             n = int(rng.integers(2, 300))
             sw2 = float(rng.uniform(0.2, 3.0))
             cfg = make_cfg(n=n, sw2=sw2)
-            alloc = PowerAllocation(
+            alloc = PowerAllocation.split(
                 n=n,
                 rho=float(rng.uniform(0.001, 2.0)),
                 eta=float(rng.uniform(0.05, 0.95)),
@@ -65,9 +67,9 @@ class TestKlDivergence:
         cfg = make_cfg(n=100, sw2=1.0)
         rho, n_p = 0.05, 20  # rho < sigma_w2
         eta_star = (100 - n_p) / 100
-        d_star = kl_divergence(cfg, PowerAllocation(n=100, rho=rho, eta=eta_star, n_p=n_p))
+        d_star = kl_divergence(cfg, PowerAllocation.split(n=100, rho=rho, eta=eta_star, n_p=n_p))
         for eta in np.linspace(0.001, 0.999, 1000):
-            d = kl_divergence(cfg, PowerAllocation(n=100, rho=rho, eta=float(eta), n_p=n_p))
+            d = kl_divergence(cfg, PowerAllocation.split(n=100, rho=rho, eta=float(eta), n_p=n_p))
             assert d >= d_star - 1e-15
 
 
@@ -96,7 +98,7 @@ class TestKlDerivative:
             h = 1e-5 * min(eta, 1.0 - eta)
 
             def d01(e):
-                return kl_divergence(cfg, PowerAllocation(n=n, rho=rho, eta=e, n_p=n_p))
+                return kl_divergence(cfg, PowerAllocation.split(n=n, rho=rho, eta=e, n_p=n_p))
 
             fd = (d01(eta + h) - d01(eta - h)) / (2.0 * h)
             closed = kl_divergence_deta(cfg, rho, eta, n_p)
@@ -219,6 +221,24 @@ def design_snrs(n):
     return [c / math.sqrt(n) for c in (1e-8, 1e-4, 0.02, 0.5, 3.3)]
 
 
+def margin_mp(n, s):
+    """Oracle: the covert margin by 40-digit quadrature in w = ln(x/n).
+
+    Integrates the Gamma(n, 1) density exp(n ln n - lnGamma(n) + n w - n e^w)
+    over the window [ln(L/s), ln(L/s) + L], L = ln(1 + s), in 8 equal
+    subintervals.  Unlike mpmath.gammainc it converges at n = 1e7 and 1e8.
+    The result is an mpf; compare it at 40 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n, s = mpmath.mpf(n), mpmath.mpf(s)
+        width = mpmath.log1p(s)
+        w_lo = mpmath.log(width / s)
+        log_c = n * mpmath.log(n) - mpmath.loggamma(n)
+        edges = mpmath.linspace(w_lo, w_lo + width, 9)
+        return mpmath.quad(lambda w: mpmath.exp(log_c + n * w - n * mpmath.exp(w)), edges)
+
+
 class TestCovertMargin:
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -239,6 +259,29 @@ class TestCovertMargin:
             exact = mpmath.gammainc(n, lo, (1 + mpmath.mpf(s)) * lo, regularized=True)
             margin, _ = covert_margin(n, s)
             assert margin == pytest.approx(float(exact), rel=0, abs=1e-14)
+
+    def test_density_oracle_matches_gammainc(self):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (2, 100, 10**4, 10**6):
+            for s in design_snrs(n):
+                with mpmath.workdps(40):
+                    lo = n * mpmath.log1p(s) / s
+                    exact = mpmath.gammainc(n, lo, (1 + mpmath.mpf(s)) * lo, regularized=True)
+                    assert abs(margin_mp(n, s) - exact) <= 1e-30 * exact, (n, s)
+
+    def test_against_density_oracle_over_the_scale_range(self):
+        # at the solved power, with the warden's noise from -120 to 30 dBm
+        mpmath = pytest.importorskip("mpmath")
+        noise_dbm = itertools.cycle(range(-120, 31, 30))
+        for n in (2, 10, 10**3, 10**5, 10**7, 10**8):
+            for eps in (0.3, 1e-3, 1e-6, 1e-9):
+                sw2 = 10.0 ** (next(noise_dbm) / 10.0)
+                s = solve_rho_star(make_cfg(n=n, sw2=sw2, eps=eps)).rho / sw2
+                margin, _ = covert_margin(n, s)
+                with mpmath.workdps(40):
+                    exact = margin_mp(n, s)
+                    assert abs(margin - exact) <= 1e-14 * exact, (n, eps, sw2)
+                    assert exact <= eps, (n, eps, sw2)
 
     def test_complements_min_detection_error(self):
         # 1 - (alpha + beta) from the incomplete gamma series is good to

@@ -5,13 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from covertpilot.link_model import (
-    PowerAllocation,
-    SystemConfig,
-    effective_sinr,
-    effective_sinr_equal_power,
-    sinr,
-)
+from covertpilot.link_model import PowerAllocation, SystemConfig, effective_sinr, sinr
+
+from oracles import effective_sinr_closed_form
 
 
 def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
@@ -32,16 +28,6 @@ def sinr_eta_form(cfg, rho, eta, n_p):
     num = lam * lam * rho * n * eta * (1.0 - eta)
     den = n_d * sb2 * (lam * (1.0 - eta) + sb2 / (rho * n) + lam * eta / n_d)
     return num / den
-
-
-def random_alloc(rng, n=None):
-    n = n if n is not None else int(rng.integers(2, 400))
-    return PowerAllocation(
-        n=n,
-        rho=float(rng.uniform(0.001, 5.0)),
-        eta=float(rng.uniform(0.02, 0.98)),
-        n_p=int(rng.integers(1, n)),
-    )
 
 
 class TestConfigValidation:
@@ -71,38 +57,49 @@ class TestConfigValidation:
 
     def test_invalid_allocation(self):
         with pytest.raises(ValueError, match="n_p"):
-            PowerAllocation(n=10, rho=1.0, eta=0.5, n_p=10)
+            PowerAllocation.split(n=10, rho=1.0, eta=0.5, n_p=10)
+        with pytest.raises(ValueError, match="n_p"):
+            PowerAllocation(n=10, n_p=0, rho_p=1.0, rho_d=1.0)
         with pytest.raises(ValueError, match="eta"):
-            PowerAllocation(n=10, rho=1.0, eta=1.0, n_p=5)
+            PowerAllocation.split(n=10, rho=1.0, eta=1.0, n_p=5)
         with pytest.raises(ValueError, match="rho"):
-            PowerAllocation(n=10, rho=-0.1, eta=0.5, n_p=5)
+            PowerAllocation.split(n=10, rho=-0.1, eta=0.5, n_p=5)
+        with pytest.raises(ValueError, match="rho_d"):
+            PowerAllocation(n=10, n_p=5, rho_p=1.0, rho_d=-0.1)
 
 
 class TestPowerAllocation:
     def test_total_energy_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
-            a = random_alloc(rng)
+            n = int(rng.integers(2, 400))
+            rho = float(rng.uniform(0.001, 5.0))
+            a = PowerAllocation.split(
+                n=n, rho=rho, eta=float(rng.uniform(0.02, 0.98)), n_p=int(rng.integers(1, n))
+            )
             total = a.rho_p * a.n_p + a.rho_d * a.n_d
-            assert total == pytest.approx(a.rho * a.n, rel=1e-12)
+            assert total == pytest.approx(rho * n, rel=1e-12)
 
     def test_equal_power_iff_eta_is_data_share(self):
         a = PowerAllocation.equal_power(n=100, rho=0.7, n_p=20)
-        assert a.eta == pytest.approx(0.8, rel=1e-12)
-        assert a.rho_p == pytest.approx(a.rho_d, rel=1e-12)
-        assert a.rho_p == pytest.approx(0.7, rel=1e-12)
+        assert (a.rho_p, a.rho_d) == (0.7, 0.7)
         assert a.is_equal_power()
-        b = PowerAllocation(n=100, rho=0.7, eta=0.5, n_p=20)
-        assert not b.is_equal_power()
+        # the split at eta = n_d / n is equal power up to rounding
+        assert PowerAllocation.split(n=100, rho=0.05, eta=0.8, n_p=20).is_equal_power()
+        assert not PowerAllocation.split(n=100, rho=0.7, eta=0.5, n_p=20).is_equal_power()
+        assert PowerAllocation.equal_power(n=100, rho=0.0, n_p=20).is_equal_power()
 
     def test_from_powers_round_trip(self):
+        # (rho_p, rho_d) -> (rho, eta) -> split gives the powers back
         rng = np.random.default_rng(4)
         for _ in range(200):
             n = int(rng.integers(2, 200))
             n_p = int(rng.integers(1, n))
             rho_p = float(rng.uniform(0.0, 3.0))
             rho_d = float(rng.uniform(0.01, 3.0))
-            a = PowerAllocation.from_powers(n=n, rho_p=rho_p, rho_d=rho_d, n_p=n_p)
+            rho = (rho_p * n_p + rho_d * (n - n_p)) / n
+            eta = rho_d * (n - n_p) / (rho * n)
+            a = PowerAllocation.split(n=n, rho=rho, eta=eta, n_p=n_p)
             assert a.rho_p == pytest.approx(rho_p, rel=1e-12, abs=1e-15)
             assert a.rho_d == pytest.approx(rho_d, rel=1e-12)
 
@@ -110,7 +107,7 @@ class TestPowerAllocation:
 class TestSinr:
     def test_no_data_power_gives_zero(self):
         cfg = make_cfg(n=10)
-        alloc = PowerAllocation(n=10, rho=1.0, eta=1e-300, n_p=2)
+        alloc = PowerAllocation.split(n=10, rho=1.0, eta=1e-300, n_p=2)
         assert sinr(cfg, alloc) == pytest.approx(0.0, abs=1e-290)
 
     def test_unit_case(self):
@@ -124,7 +121,7 @@ class TestSinr:
         # all energy on the pilots, or all on the data, leaves no SINR
         cfg = make_cfg(n=50)
         for eta in (1e-12, 1.0 - 1e-12):
-            assert sinr(cfg, PowerAllocation(n=50, rho=1.0, eta=eta, n_p=10)) < 1e-10
+            assert sinr(cfg, PowerAllocation.split(n=50, rho=1.0, eta=eta, n_p=10)) < 1e-10
 
     def test_parameterization_identity(self):
         rng = np.random.default_rng(6)
@@ -138,16 +135,16 @@ class TestSinr:
             rho = float(rng.uniform(0.001, 5.0))
             eta = float(rng.uniform(0.02, 0.98))
             n_p = int(rng.integers(1, n))
-            alloc = PowerAllocation(n=n, rho=rho, eta=eta, n_p=n_p)
+            alloc = PowerAllocation.split(n=n, rho=rho, eta=eta, n_p=n_p)
             assert sinr_eta_form(cfg, rho, eta, n_p) == pytest.approx(
                 sinr(cfg, alloc), rel=1e-10
             )
 
     def test_monotone_in_pilot_energy_and_data_power(self):
         cfg = make_cfg(n=100)
-        base = PowerAllocation.from_powers(n=100, rho_p=0.5, rho_d=1.0, n_p=10)
-        more_pilot = PowerAllocation.from_powers(n=100, rho_p=0.8, rho_d=1.0, n_p=10)
-        more_data = PowerAllocation.from_powers(n=100, rho_p=0.5, rho_d=1.5, n_p=10)
+        base = PowerAllocation(n=100, n_p=10, rho_p=0.5, rho_d=1.0)
+        more_pilot = PowerAllocation(n=100, n_p=10, rho_p=0.8, rho_d=1.0)
+        more_data = PowerAllocation(n=100, n_p=10, rho_p=0.5, rho_d=1.5)
         assert sinr(cfg, more_pilot) > sinr(cfg, base)
         assert sinr(cfg, more_data) > sinr(cfg, base)
 
@@ -160,8 +157,23 @@ class TestSinr:
 
     def test_zero_power_gives_zero_effective_sinr(self):
         cfg = make_cfg(n=20)
-        alloc = PowerAllocation(n=20, rho=0.0, eta=0.5, n_p=5)
+        alloc = PowerAllocation.split(n=20, rho=0.0, eta=0.5, n_p=5)
         assert effective_sinr(cfg, alloc) == 0.0
+
+    def test_equal_power_against_mpmath_at_scale(self):
+        # one pilot in 1e8 symbols: equal power holds both powers exactly,
+        # where rebuilding them from an energy share cancelled to ~5e-9
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**8
+        for lam, sb2 in ((1.0, 1.0), (0.3, 2.0)):
+            cfg = make_cfg(n=n, lam=lam, sb2=sb2)
+            for exponent in range(-8, 5):
+                rho = 10.0**exponent
+                got = effective_sinr(cfg, PowerAllocation.equal_power(n=n, rho=rho, n_p=1))
+                with mpmath.workdps(40):
+                    lam_rho = mpmath.mpf(lam) * mpmath.mpf(rho)
+                    exact = (n - 1) * lam_rho**2 / (n * sb2 * (sb2 + 2 * lam_rho))
+                    assert abs(got - exact) <= 4e-16 * exact, (lam, sb2, rho)
 
 
 class TestEqualPowerClosedForm:
@@ -177,14 +189,14 @@ class TestEqualPowerClosedForm:
             rho = float(rng.uniform(0.001, 5.0))
             n_p = int(rng.integers(1, n))
             alloc = PowerAllocation.equal_power(n=n, rho=rho, n_p=n_p)
-            assert effective_sinr_equal_power(cfg, rho, n_p) == pytest.approx(
-                effective_sinr(cfg, alloc), rel=1e-12
+            assert effective_sinr_closed_form(cfg, rho, n_p) == pytest.approx(
+                effective_sinr(cfg, alloc), rel=1e-15
             )
 
     def test_vectorized_over_pilot_counts(self):
         cfg = make_cfg(n=100)
         n_p = np.arange(1, 100)
-        values = effective_sinr_equal_power(cfg, 0.05, n_p)
+        values = effective_sinr_closed_form(cfg, 0.05, n_p)
         assert values.shape == (99,)
         assert np.all(values > 0)
 
@@ -193,7 +205,7 @@ class TestEqualPowerClosedForm:
         # over a 1000-point grid switches from + to - exactly once.
         cfg = make_cfg(n=100)
         grid = np.linspace(1e-6, 100 - 1e-6, 1000)
-        vals = effective_sinr_equal_power(cfg, 0.05, grid)
+        vals = effective_sinr_closed_form(cfg, 0.05, grid)
         signs = np.sign(np.diff(vals))
         changes = np.diff(signs)
         assert np.count_nonzero(changes < 0) == 1

@@ -111,7 +111,7 @@ class TestStreamKeys:
 class TestWillieDetection:
     def test_zero_power_is_blind_guessing(self):
         cfg = make_cfg(n=40)
-        alloc = PowerAllocation(n=40, rho=0.0, eta=0.5, n_p=10)
+        alloc = PowerAllocation.split(n=40, rho=0.0, eta=0.5, n_p=10)
         mc = McConfig(trials=50_000, seed=5)
         # the LRT degenerates to never deciding H1: alpha = 0, beta = 1
         rates = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest())
@@ -164,7 +164,7 @@ class TestWillieDetection:
         cfg = make_cfg(n=100)
         mc = McConfig(trials=50_000, seed=17)
         for eta in (0.3, 0.5, 0.8, 0.9):
-            alloc = PowerAllocation(n=100, rho=0.05, eta=eta, n_p=20)
+            alloc = PowerAllocation.split(n=100, rho=0.05, eta=eta, n_p=20)
             rates = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest())
             bound = covertness_lower_bound(kl_divergence(cfg, alloc))
             assert rates.xi.value >= bound - 3.0 * rates.xi.std_err
@@ -174,7 +174,7 @@ class TestWillieDetection:
         mc = McConfig(trials=20_000, seed=19)
         xis = {}
         for eta in np.arange(0.1, 0.95, 0.1):
-            alloc = PowerAllocation(n=100, rho=0.05, eta=round(float(eta), 2), n_p=20)
+            alloc = PowerAllocation.split(n=100, rho=0.05, eta=round(float(eta), 2), n_p=20)
             xis[round(float(eta), 2)] = simulate_willie(
                 cfg, alloc, mc, LikelihoodRatioTest()
             ).xi.value
@@ -228,7 +228,7 @@ class TestExactLrtError:
         cfg = make_cfg(n=100)
         rows = [(20, 0.3), (20, 0.6), (20, 0.95), (50, 0.2), (50, 0.4), (50, 0.8)]
         for index, (n_p, eta) in enumerate(rows):
-            alloc = PowerAllocation(n=100, rho=0.05, eta=eta, n_p=n_p)
+            alloc = PowerAllocation.split(n=100, rho=0.05, eta=eta, n_p=n_p)
             mc = McConfig(trials=100_000, seed=1000 + index)
             xi = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest()).xi
             assert abs(xi.value - exact_lrt_xi(cfg, alloc)) <= 4.0 * xi.std_err
@@ -246,7 +246,7 @@ class TestCoupledWardenDraw:
 
     def test_unequal_power_scales_one_draw_per_segment(self):
         cfg = make_cfg(n=50, sw2=2.0)
-        alloc = PowerAllocation(n=50, rho=0.3, eta=0.5, n_p=10)
+        alloc = PowerAllocation.split(n=50, rho=0.3, eta=0.5, n_p=10)
         h0, h1 = monte_carlo._draw_segment_energies(monte_carlo._stream(5, 1, 0), cfg, alloc, 100)
         rng = monte_carlo._stream(5, 1, 0)
         pilot = 2.0 * rng.standard_gamma(10, 100)
@@ -268,7 +268,7 @@ class TestCoupledWardenDraw:
     @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
     def test_unequal_power_xi_is_one_binomial_proportion(self, detector):
         assert_xi_is_one_binomial_proportion(
-            PowerAllocation(n=100, rho=0.05, eta=0.5, n_p=20), detector
+            PowerAllocation.split(n=100, rho=0.05, eta=0.5, n_p=20), detector
         )
 
 
@@ -311,7 +311,7 @@ class TestSharedWardenPass:
     @pytest.mark.parametrize(
         "alloc",
         [PowerAllocation.equal_power(n=100, rho=0.05, n_p=20),
-         PowerAllocation(n=100, rho=0.05, eta=0.7, n_p=20)],
+         PowerAllocation.split(n=100, rho=0.05, eta=0.7, n_p=20)],
         ids=["coupled", "split"],
     )
     def test_shared_pass_matches_separate_passes(self, alloc, monkeypatch):
@@ -341,7 +341,7 @@ class TestSharedWardenPass:
             (simulate_willie, cfg, alloc, McConfig(trials=30_000, seed=67), radiometer),
             (simulate_willie, cfg, PowerAllocation.equal_power(n=100, rho=0.1, n_p=20),
              mc, radiometer),
-            (simulate_willie, cfg, PowerAllocation(n=100, rho=0.05, eta=0.7, n_p=20),
+            (simulate_willie, cfg, PowerAllocation.split(n=100, rho=0.05, eta=0.7, n_p=20),
              mc, radiometer),
             (simulate_willie, make_cfg(n=100, sw2=1.1), alloc, mc, radiometer),
             (simulate_willie, cfg, alloc, mc, other),
@@ -373,7 +373,7 @@ class TestSharedWardenPass:
 class TestBobSimulation:
     def test_sinr_matches_analytic(self):
         cfg = make_cfg(n=100)
-        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=200_000, seed=31)
         estimate = simulate_bob_sinr(cfg, alloc, mc)
         analytic = sinr(cfg, alloc)
@@ -383,7 +383,7 @@ class TestBobSimulation:
     def test_estimate_variance_half_split(self):
         # lambda = sigma_b2 = 1 and unit pilot energy give var(h_hat) = 0.5
         cfg = make_cfg(n=10)
-        alloc = PowerAllocation.from_powers(n=10, rho_p=0.5, rho_d=1.0, n_p=2)
+        alloc = PowerAllocation(n=10, n_p=2, rho_p=0.5, rho_d=1.0)
         mc = McConfig(trials=200_000, seed=37)
         diag = bob_estimation_diagnostics(cfg, alloc, mc)
         assert abs(diag.var_h_hat.value - 0.5) <= 3.0 * diag.var_h_hat.std_err
@@ -391,7 +391,7 @@ class TestBobSimulation:
 
     def test_estimation_error_vanishes_with_huge_pilot_energy(self):
         cfg = make_cfg(n=10)
-        alloc = PowerAllocation.from_powers(n=10, rho_p=5e5, rho_d=1.0, n_p=2)
+        alloc = PowerAllocation(n=10, n_p=2, rho_p=5e5, rho_d=1.0)
         mc = McConfig(trials=50_000, seed=41)
         diag = bob_estimation_diagnostics(cfg, alloc, mc)
         assert diag.var_h_tilde.value < 1e-5
@@ -400,14 +400,14 @@ class TestBobSimulation:
         cfg = make_cfg(n=100)
         mc = McConfig(trials=200_000, seed=43)
         for n_p, eta in ((10, 0.5), (40, 0.7)):
-            alloc = PowerAllocation(n=100, rho=0.6, eta=eta, n_p=n_p)
+            alloc = PowerAllocation.split(n=100, rho=0.6, eta=eta, n_p=n_p)
             diag = bob_estimation_diagnostics(cfg, alloc, mc)
             assert abs(diag.orth_corr_re.value) <= 4.0 * diag.orth_corr_re.std_err
             assert abs(diag.orth_corr_im.value) <= 4.0 * diag.orth_corr_im.std_err
 
     def test_empirical_variances_match_analytic(self):
         cfg = make_cfg(n=100)
-        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=200_000, seed=47)
         diag = bob_estimation_diagnostics(cfg, alloc, mc)
         var_h_hat, var_h_tilde = mmse_split(cfg, alloc)
@@ -416,7 +416,7 @@ class TestBobSimulation:
 
     def test_sinr_and_diagnostics_share_one_pass(self, monkeypatch):
         cfg = make_cfg(n=100)
-        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=20_000, seed=53)
         draws = []
         draw = monte_carlo._draw_bob_trial
@@ -438,7 +438,7 @@ class TestBobSimulation:
         # the SINR pass and the diagnostics pass as separate loops: the
         # shared pass must reproduce every sum to the bit
         cfg = make_cfg(n=100)
-        alloc = PowerAllocation(n=100, rho=0.8, eta=0.6, n_p=25)
+        alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=40_000, seed=59)
         sinr_sums = [0.0] * 5
         diag_sums = [0.0] * 8

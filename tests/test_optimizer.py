@@ -8,7 +8,7 @@ import pytest
 
 from covertpilot import optimizer
 from covertpilot.detection import covert_margin, min_detection_error
-from covertpilot.link_model import SystemConfig, effective_sinr_equal_power
+from covertpilot.link_model import SystemConfig
 from covertpilot.optimizer import (
     MARGIN_REL_TOL,
     SolverError,
@@ -18,6 +18,8 @@ from covertpilot.optimizer import (
     np_star,
     solve_rho_star,
 )
+
+from oracles import effective_sinr_closed_form
 
 
 def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
@@ -121,7 +123,7 @@ class TestContinuousPilotCount:
         cfg = make_cfg(n=100)
         x = np_continuous(cfg, 1.0)
         grid = np.linspace(1e-3, 100 - 1e-3, 100_000)
-        vals = effective_sinr_equal_power(cfg, 1.0, grid)
+        vals = effective_sinr_closed_form(cfg, 1.0, grid)
         assert abs(grid[int(np.argmax(vals))] - x) < 2e-3
 
     def test_in_open_interval_and_sublinear(self):
@@ -140,7 +142,7 @@ class TestIntegerPilotCount:
         cfg = make_cfg(n=100)
         best, np_ceil, np_floor = np_star(cfg, 1.0)
         assert (np_floor, np_ceil) == (12, 13)
-        g = lambda k: effective_sinr_equal_power(cfg, 1.0, k)
+        g = lambda k: effective_sinr_closed_form(cfg, 1.0, k)
         assert best == (13 if g(13) >= g(12) else 12)
 
     def test_exhaustive_certificate(self):
@@ -156,7 +158,7 @@ class TestIntegerPilotCount:
             best, np_ceil, np_floor = np_star(cfg, rho)
             assert np_floor <= best <= np_ceil
             candidates = np.arange(1, n)
-            vals = effective_sinr_equal_power(cfg, rho, candidates)
+            vals = effective_sinr_closed_form(cfg, rho, candidates)
             assert best == int(candidates[int(np.argmax(vals))])
 
     def test_clamped_to_one_for_two_symbol_slot(self):

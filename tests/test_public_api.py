@@ -1,5 +1,6 @@
 """The package's public names: what the CLI, the paper's results and the tests use."""
 
+import dataclasses
 import importlib
 
 import covertpilot
@@ -17,7 +18,6 @@ PUBLIC = {
     "PowerAllocation",
     "SystemConfig",
     "effective_sinr",
-    "effective_sinr_equal_power",
     "sinr",
     # Monte Carlo verification
     "BobEstimationDiagnostics",
@@ -56,7 +56,7 @@ MODULES = ("cli", "detection", "link_model", "monte_carlo", "optimizer", "specfu
 
 
 def test_all_is_the_expected_set():
-    assert len(covertpilot.__all__) == len(PUBLIC) == 30
+    assert len(covertpilot.__all__) == len(PUBLIC) == 29
     assert set(covertpilot.__all__) == PUBLIC
 
 
@@ -72,3 +72,18 @@ def test_removed_names_are_gone():
     for module in modules:
         for name in REMOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_one_sinr_formula():
+    # the equal-power closed form is a test oracle now; the CLI keeps a
+    # helper of that name over effective_sinr for the benchmark's tracer
+    link_model = importlib.import_module("covertpilot.link_model")
+    for module in (covertpilot, link_model):
+        assert not hasattr(module, "effective_sinr_equal_power"), module.__name__
+
+
+def test_power_allocation_holds_the_segment_powers():
+    fields = [field.name for field in dataclasses.fields(covertpilot.PowerAllocation)]
+    assert fields == ["n", "n_p", "rho_p", "rho_d"]
+    for name in ("from_powers", "eta", "rho"):
+        assert not hasattr(covertpilot.PowerAllocation, name), name
