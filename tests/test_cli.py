@@ -441,6 +441,45 @@ class TestDesignCommand:
         assert values["0.05"] >= values["0.2"]
 
 
+# SHA-256 of each command's CSV on the default and the README configs, and
+# of design's printed summary; a stated CSV change updates these digests
+GOLDEN = {
+    ("default", "design"): "26f1079e0d1c38de30b7319cdb97706a691918729cc050d3f264be377a490288",
+    ("default", "design stdout"): "693b5305895d900c1fba5983255e5abb9727d993f2e2d976359cbe43debde6cc",
+    ("default", "fig1"): "2a9a2a153d18e6886cf8d42f8b6c794fa1a2f53e5ea664a056ebe554e4bbcd0a",
+    ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
+    ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
+    ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
+    ("default", "verify"): "a59392cf23b44995840fffbda658fb682ae1113acdd3ad2dca29143f3ba8c916",
+    ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
+    ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
+    ("readme", "fig1"): "282ae499f4250a2a3b0a2b92608bf3358dd6d4bbed131e22c636339486cbeb69",
+    ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
+    ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
+    ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
+    ("readme", "verify"): "d438473b3a3e8b245059069a623738459e1979764c68d1a16bfa94498e9efb83",
+}
+
+
+def test_golden_bytes(tmp_path, capsys):
+    config = tmp_path / "readme.ini"
+    config.write_text(readme_ini())
+    digests = {}
+    for label, flags in (("default", []), ("readme", ["--config", str(config)])):
+        for command in ("design", "fig1", "fig2", "fig3", "sweep", "verify"):
+            out = tmp_path / f"{label}-{command}.csv"
+            assert main([command, *flags, "--out", str(out)]) == EXIT_OK
+            digests[label, command] = hashlib.sha256(out.read_bytes()).hexdigest()
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if command == "design":
+                stdout = captured.out.encode("utf-8")
+                digests[label, "design stdout"] = hashlib.sha256(stdout).hexdigest()
+            else:
+                assert captured.out == ""
+    assert digests == GOLDEN
+
+
 def test_closed_form_commands_do_not_load_numpy(tmp_path):
     script = (
         "import sys, covertpilot.cli as cli\n"
