@@ -27,7 +27,7 @@ import functools
 import hashlib
 import math
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
 from .link_model import PowerAllocation, SystemConfig, effective_sinr, sinr
@@ -291,24 +291,25 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: List[Sequence]) 
             handle.write(text)
 
 
-def _row_seed(base: int, index: int) -> int:
-    return (base + index) % 2**64
-
-
 # the benchmark's tracer wraps this name, so it stays until the tracer
 # drops it (ROADMAP item 1A)
 def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float:
     return effective_sinr(cfg, PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p))
 
 
-def cmd_design(args) -> int:
-    resolved = resolve_run_config(args, "design")
+def _check_pilot_count(resolved: Dict[str, object], cfg: SystemConfig) -> int:
+    n_p = resolved["n_p"]
+    if not 1 <= n_p <= cfg.n - 1:
+        raise ConfigError(f"config key 'n_p': must lie in [1, n-1], got {n_p}")
+    return n_p
+
+
+def cmd_design(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
     result = design(cfg)
-    digest = config_hash(resolved)
 
     rho_text = _fmt(result.rho_star)
-    if args.units == "dbm":
+    if resolved["units"] == "dbm":
         rho_text += f" ({_fmt(linear_to_dbm(result.rho_star))} dBm)"
     print(f"covert design for n={cfg.n}, epsilon={_fmt(cfg.epsilon)}")
     print(f"  rho_star          {rho_text}")
@@ -318,52 +319,31 @@ def cmd_design(args) -> int:
     print(f"  gamma_eff_star    {_fmt(result.gamma_eff_star)}")
     print(f"  xi_star_achieved  {_fmt(result.xi_star_achieved)}")
     print(f"  config_hash       {digest}")
-
-    if args.out is not None:
-        header = [
-            "n", "lambda_ab", "sigma_b2", "sigma_w2", "epsilon",
-            "rho_star", "np_continuous", "np_star", "np_ceil", "np_floor",
-            "gamma_eff_star", "xi_star_achieved", "config_hash",
-        ]
-        row = [
-            cfg.n, cfg.lambda_ab, cfg.sigma_b2, cfg.sigma_w2, cfg.epsilon,
-            result.rho_star, result.np_continuous, result.np_star,
-            result.np_ceil, result.np_floor, result.gamma_eff_star,
-            result.xi_star_achieved, digest,
-        ]
-        _write_csv(args.out, header, [row])
-    return EXIT_OK
+    row = [
+        cfg.n, cfg.lambda_ab, cfg.sigma_b2, cfg.sigma_w2, cfg.epsilon,
+        result.rho_star, result.np_continuous, result.np_star,
+        result.np_ceil, result.np_floor, result.gamma_eff_star,
+        result.xi_star_achieved,
+    ]
+    return [row], EXIT_OK
 
 
-def cmd_fig1(args) -> int:
-    resolved = resolve_run_config(args, "fig1")
+def cmd_fig1(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    digest = config_hash(resolved)
-    rho = resolved["rho"]
-    trials = resolved["trials"]
-    seed = resolved["seed"]
-
     rows = []
-    index = 0
     for n_p in resolved["np_values"]:
         for eta in resolved["eta_grid"]:
-            alloc = PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p)
-            mc = McConfig(trials=trials, seed=_row_seed(seed, index))
+            alloc = PowerAllocation.split(n=cfg.n, rho=resolved["rho"], eta=eta, n_p=n_p)
+            # row i draws from seed + i, wrapped to 64 bits
+            seed = (resolved["seed"] + len(rows)) % 2**64
+            mc = McConfig(trials=resolved["trials"], seed=seed)
             rates = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest())
             bound = covertness_lower_bound(kl_divergence(cfg, alloc))
-            rows.append([eta, n_p, rates.xi.value, rates.xi.std_err, bound, digest])
-            index += 1
-    _write_csv(
-        args.out,
-        ["eta", "n_p", "xi_lrt", "xi_lrt_stderr", "kl_bound", "config_hash"],
-        rows,
-    )
-    return EXIT_OK
+            rows.append([eta, n_p, rates.xi.value, rates.xi.std_err, bound])
+    return rows, EXIT_OK
 
 
-def cmd_fig2(args) -> int:
-    resolved = resolve_run_config(args, "fig2")
-    digest = config_hash(resolved)
+def cmd_fig2(resolved: Dict[str, object], digest: str):
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
@@ -371,40 +351,24 @@ def cmd_fig2(args) -> int:
         best, _, _ = np_star(cfg, rho)
         for n_p in range(1, cfg.n):
             gamma = effective_sinr_equal_power(cfg, rho, n_p)
-            rows.append([epsilon, n_p, gamma, int(n_p == best), digest])
-    _write_csv(
-        args.out,
-        ["epsilon", "n_p", "gamma_eff", "analytic_optimum", "config_hash"],
-        rows,
-    )
-    return EXIT_OK
+            rows.append([epsilon, n_p, gamma, int(n_p == best)])
+    return rows, EXIT_OK
 
 
-def cmd_fig3(args) -> int:
-    resolved = resolve_run_config(args, "fig3")
-    digest = config_hash(resolved)
+def cmd_fig3(resolved: Dict[str, object], digest: str):
     rows = []
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
             cfg = system_config(resolved, n=n, epsilon=epsilon)
             rho = solve_rho_star(cfg).rho
             best, _, _ = np_star(cfg, rho)
-            rows.append([epsilon, n, best, best / n, digest])
-    _write_csv(
-        args.out,
-        ["epsilon", "n", "np_star", "np_star_over_n", "config_hash"],
-        rows,
-    )
-    return EXIT_OK
+            rows.append([epsilon, n, best, best / n])
+    return rows, EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    resolved = resolve_run_config(args, "sweep")
+def cmd_sweep(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    digest = config_hash(resolved)
-    n_p = resolved["n_p"]
-    if not 1 <= n_p <= cfg.n - 1:
-        raise ConfigError(f"config key 'n_p': must lie in [1, n-1], got {n_p}")
+    n_p = _check_pilot_count(resolved, cfg)
     lo, hi, points = resolved["rho_min"], resolved["rho_max"], resolved["rho_points"]
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("config keys 'rho_min'/'rho_max'/'rho_points': invalid grid")
@@ -420,25 +384,15 @@ def cmd_sweep(args) -> int:
         gamma = effective_sinr_equal_power(cfg, rho, n_p)
         rows.append([
             rho, report.d01, report.xi_lower_bound, report.tau_star,
-            report.alpha, report.beta, report.xi_star, gamma, digest,
+            report.alpha, report.beta, report.xi_star, gamma,
         ])
-    _write_csv(
-        args.out,
-        ["rho", "d01", "xi_lower_bound", "tau_star", "alpha", "beta",
-         "xi_star", "gamma_eff", "config_hash"],
-        rows,
-    )
-    return EXIT_OK
+    return rows, EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    resolved = resolve_run_config(args, "verify")
+def cmd_verify(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    digest = config_hash(resolved)
     rho = resolved["rho"]
-    n_p = resolved["n_p"]
-    if not 1 <= n_p <= cfg.n - 1:
-        raise ConfigError(f"config key 'n_p': must lie in [1, n-1], got {n_p}")
+    n_p = _check_pilot_count(resolved, cfg)
     mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
     alloc = PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p)
 
@@ -450,10 +404,9 @@ def cmd_verify(args) -> int:
     )
     rates = simulate_willie(cfg, alloc, mc, radiometer)
     bob = simulate_bob_sinr(cfg, alloc, mc)
-    bob_analytic = sinr(cfg, alloc)
     diag = bob_estimation_diagnostics(cfg, alloc, mc)
 
-    checks: List[Tuple[str, float, float, float, float, bool]] = []
+    rows = []
 
     def add_check(name, simulated, expected, std_err, max_z):
         diff = simulated - expected
@@ -462,7 +415,7 @@ def cmd_verify(args) -> int:
         else:
             # a standard error lost to underflow leaves room for no deviation
             z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
-        checks.append((name, simulated, expected, std_err, z, abs(z) <= max_z))
+        rows.append([name, simulated, expected, std_err, z, int(abs(z) <= max_z)])
 
     def add_rate_check(name, rate, expected):
         # a count proportion never resolves below one trial in T, so a
@@ -472,34 +425,32 @@ def cmd_verify(args) -> int:
     add_rate_check("radiometer_alpha", rates.alpha, analytic.alpha)
     add_rate_check("radiometer_beta", rates.beta, analytic.beta)
     add_rate_check("radiometer_xi", rates.xi, analytic.xi_star)
-    checks.append((
+    rows.append([
         "lrt_vs_radiometer_disagreements",
-        float(disagreements), 0.0, 0.0, float(disagreements), disagreements == 0,
-    ))
-    add_check("bob_sinr", bob.value, bob_analytic, bob.std_err, 4.0)
+        float(disagreements), 0.0, 0.0, float(disagreements), int(disagreements == 0),
+    ])
+    add_check("bob_sinr", bob.value, sinr(cfg, alloc), bob.std_err, 4.0)
     add_check("bob_orthogonality_re", diag.orth_corr_re.value, 0.0, diag.orth_corr_re.std_err, 4.0)
     add_check("bob_orthogonality_im", diag.orth_corr_im.value, 0.0, diag.orth_corr_im.std_err, 4.0)
-
-    rows = [
-        [name, simulated, expected, std_err, z, int(passed), digest]
-        for name, simulated, expected, std_err, z, passed in checks
-    ]
-    _write_csv(
-        args.out,
-        ["check", "simulated", "analytic", "std_err", "z_score", "passed",
-         "config_hash"],
-        rows,
-    )
-    return EXIT_OK if all(passed for *_, passed in checks) else EXIT_CHECK_FAILED
+    return rows, EXIT_OK if all(row[-1] for row in rows) else EXIT_CHECK_FAILED
 
 
+# name -> (handler, help, CSV columns).  handler(resolved, digest) returns
+# (rows, exit code); main appends the config_hash column and writes the CSV.
 _COMMANDS = {
-    "design": (cmd_design, "solve one covert design"),
-    "fig1": (cmd_fig1, "warden error vs power split (CSV)"),
-    "fig2": (cmd_fig2, "effective SINR vs pilot count (CSV)"),
-    "fig3": (cmd_fig3, "optimal pilot count vs covertness (CSV)"),
-    "sweep": (cmd_sweep, "detection metrics vs average power (CSV)"),
-    "verify": (cmd_verify, "Monte Carlo vs closed-form suite (CSV)"),
+    "design": (cmd_design, "solve one covert design", (
+        "n", "lambda_ab", "sigma_b2", "sigma_w2", "epsilon", "rho_star", "np_continuous",
+        "np_star", "np_ceil", "np_floor", "gamma_eff_star", "xi_star_achieved")),
+    "fig1": (cmd_fig1, "warden error vs power split (CSV)",
+             ("eta", "n_p", "xi_lrt", "xi_lrt_stderr", "kl_bound")),
+    "fig2": (cmd_fig2, "effective SINR vs pilot count (CSV)",
+             ("epsilon", "n_p", "gamma_eff", "analytic_optimum")),
+    "fig3": (cmd_fig3, "optimal pilot count vs covertness (CSV)",
+             ("epsilon", "n", "np_star", "np_star_over_n")),
+    "sweep": (cmd_sweep, "detection metrics vs average power (CSV)", (
+        "rho", "d01", "xi_lower_bound", "tau_star", "alpha", "beta", "xi_star", "gamma_eff")),
+    "verify": (cmd_verify, "Monte Carlo vs closed-form suite (CSV)",
+               ("check", "simulated", "analytic", "std_err", "z_score", "passed")),
 }
 
 
@@ -525,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pilot/data allocation design for covert wireless links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -533,8 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        handler, _ = _COMMANDS[args.command]
-        return handler(args)
+        handler, _, columns = _COMMANDS[args.command]
+        resolved = resolve_run_config(args, args.command)
+        digest = config_hash(resolved)
+        rows, code = handler(resolved, digest)
+        # design prints its summary and writes a CSV only when asked to
+        if args.out is not None or args.command != "design":
+            _write_csv(args.out, [*columns, "config_hash"], [[*row, digest] for row in rows])
+        return code
     except TrialBudgetError as exc:
         print(f"monte carlo budget refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
