@@ -258,6 +258,9 @@ def resolve_run_config(args, command: str) -> Dict[str, object]:
         if "trials" not in _SECTIONS[command]:
             raise ConfigError(f"--{flag}: '{command}' runs no Monte Carlo trials")
         resolved[flag] = value
+    # fig1's row seeds wrap at 2**64, where one seed would alias another
+    if not 0 <= resolved["seed"] < 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {resolved['seed']}")
     return resolved
 
 
@@ -297,11 +300,25 @@ def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float
     return effective_sinr(cfg, PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p))
 
 
-def _check_pilot_count(resolved: Dict[str, object], cfg: SystemConfig) -> int:
-    n_p = resolved["n_p"]
+def _check_pilot_count(key: str, n_p: int, cfg: SystemConfig) -> int:
     if not 1 <= n_p <= cfg.n - 1:
-        raise ConfigError(f"config key 'n_p': must lie in [1, n-1], got {n_p}")
+        raise ConfigError(f"config key '{key}': must lie in [1, n-1], got {n_p}")
     return n_p
+
+
+def _for_key(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), reporting a ValueError as a fault of config key `key`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config key '{key}': {exc}") from None
+
+
+def _check_points(key: str, field: str, values) -> None:
+    """Check each value of a list key that stands in for a SystemConfig field."""
+    for value in values:
+        # against the default [system], so that only the value can fail
+        _for_key(key, system_config, _SECTIONS["system"], **{field: value})
 
 
 def cmd_design(resolved: Dict[str, object], digest: str):
@@ -330,10 +347,16 @@ def cmd_design(resolved: Dict[str, object], digest: str):
 
 def cmd_fig1(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
+    rho = resolved["rho"]
+    if not rho >= 0:
+        raise ConfigError(f"config key 'rho': must be nonnegative, got {rho}")
     rows = []
     for n_p in resolved["np_values"]:
+        _check_pilot_count("np_values", n_p, cfg)
         for eta in resolved["eta_grid"]:
-            alloc = PowerAllocation.split(n=cfg.n, rho=resolved["rho"], eta=eta, n_p=n_p)
+            alloc = _for_key(
+                "eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p
+            )
             # row i draws from seed + i, wrapped to 64 bits
             seed = (resolved["seed"] + len(rows)) % 2**64
             mc = McConfig(trials=resolved["trials"], seed=seed)
@@ -344,6 +367,13 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
 
 
 def cmd_fig2(resolved: Dict[str, object], digest: str):
+    _check_points("epsilon_values", "epsilon", resolved["epsilon_values"])
+    # one row per pilot count and epsilon, all held until written
+    if resolved["n"] - 1 > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"config key 'n': fig2 has {resolved['n'] - 1} pilot counts, "
+            f"more than {_MAX_GRID_POINTS}"
+        )
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
@@ -356,6 +386,8 @@ def cmd_fig2(resolved: Dict[str, object], digest: str):
 
 
 def cmd_fig3(resolved: Dict[str, object], digest: str):
+    _check_points("n_values", "n", resolved["n_values"])
+    _check_points("epsilon_grid", "epsilon", resolved["epsilon_grid"])
     rows = []
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
@@ -368,7 +400,7 @@ def cmd_fig3(resolved: Dict[str, object], digest: str):
 
 def cmd_sweep(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    n_p = _check_pilot_count(resolved, cfg)
+    n_p = _check_pilot_count("n_p", resolved["n_p"], cfg)
     lo, hi, points = resolved["rho_min"], resolved["rho_max"], resolved["rho_points"]
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("config keys 'rho_min'/'rho_max'/'rho_points': invalid grid")
@@ -392,11 +424,10 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
 def cmd_verify(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
     rho = resolved["rho"]
-    n_p = _check_pilot_count(resolved, cfg)
+    n_p = _check_pilot_count("n_p", resolved["n_p"], cfg)
     mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
-    alloc = PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p)
-
-    analytic = min_detection_error(cfg, rho)
+    alloc = _for_key("rho", PowerAllocation.equal_power, n=cfg.n, rho=rho, n_p=n_p)
+    analytic = _for_key("rho", min_detection_error, cfg, rho)
     radiometer = Radiometer(threshold=analytic.tau_star)
     # one warden pass evaluates both detectors; the rates then read it
     disagreements = count_detector_disagreements(

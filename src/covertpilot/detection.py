@@ -286,7 +286,8 @@ def reg_lower_gamma(n: int, x: float) -> float:
     its exact complement.  Against 260-digit mpmath, that tail is within
     1.5e-14 relative at n in {1, 2, 10, 100, 1e3, 1e4, 1e6} and
     x = n(1 + k/sqrt(n)) for |k| <= 8, and within 2.2e-13 for |k| <= 30,
-    tails down to 1e-200.  The cost does not grow with n: at most 11
+    tails down to 1e-200; against a 40-digit quadrature of the density it
+    is within 1.5e-14 at n in {1e7, 1e8} for |k| <= 8.  The cost does not grow with n: at most 11
     panels at n >= 2 and 21 at n = 1, none once the tail underflows.
     """
     if not _is_integer(n) or n < 1:

@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,41 @@ class TestConfigHandling:
         assert resolved["seed"] == 5
         assert config_hash(resolved) != config_hash(resolve(tmp_path, "", command))
 
+    @pytest.mark.parametrize("command", ["fig1", "verify"])
+    @pytest.mark.parametrize("seed,code", [(-1, EXIT_CONFIG), (2**64, EXIT_CONFIG),
+                                           (2**64 - 1, EXIT_OK)])
+    def test_seed_must_be_unsigned_64_bit(self, tmp_path, capsys, command, seed, code):
+        # fig1's row seeds wrap at 2**64: seed -1 would draw the rows of 2**64 - 1
+        config = tmp_path / "run.ini"
+        config.write_text(
+            f"[system]\nseed = {seed}\n[fig1]\nnp_values = 20\neta_grid = 0.5\n"
+        )
+        out = tmp_path / "out.csv"
+        flags = ["--config", str(config), "--trials", "2000", "--out", str(out)]
+        assert main([command, *flags]) == code
+        assert main([command, *flags, "--seed", str(seed)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_CONFIG:
+            assert err == f"config error: seed must be an unsigned 64-bit integer, got {seed}\n" * 2
+            assert not out.exists()
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "section,key,raw",
+        [("verify", "rho", "-0.05"), ("verify", "rho", "0"), ("fig1", "rho", "-0.05"),
+         ("fig3", "epsilon_grid", "0:0.2:0.1"), ("fig2", "epsilon_values", "0.1, 1.5"),
+         ("fig3", "n_values", "1, 100"), ("fig1", "np_values", "0, 20"),
+         ("fig1", "eta_grid", "0:1:0.5")],
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, section, key, raw):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{section}]\n{key} = {raw}\n")
+        assert main([section, "--config", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config key '{key}': ")
+        assert captured.out == ""
+
     def test_default_config_hashes(self, tmp_path):
         expected = {
             "design": "f092ea752d32",
@@ -193,6 +229,17 @@ class TestConfigHandling:
             value = parse(key, default, "linear") if is_power else parse(key, default)
             assert value == cli._SECTIONS[section][key], key
             assert (dbm == "dBm") == is_power, key
+
+    def test_readme_csv_schemas_match_the_commands(self):
+        text = README.read_text(encoding="utf-8")
+        lines = text.split("| command | columns |", 1)[1].split("\n\n", 1)[0].splitlines()
+        table = {}
+        for line in lines[2:]:
+            command, columns = (cell.strip() for cell in line.strip("|").split("|"))
+            table[command.strip("`")] = columns.split(", ")
+        assert table == {
+            name: [*columns, "config_hash"] for name, (_, _, columns) in cli._COMMANDS.items()
+        }
 
     @pytest.mark.parametrize(
         "text",
@@ -329,6 +376,26 @@ class TestConfigHandling:
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
         assert sweep(5) == EXIT_CONFIG
         assert sweep(4) == EXIT_OK
+        assert len(read_csv(out)[1]) == 4
+
+    def test_fig2_pilot_count_cap(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.ini"
+        out = tmp_path / "fig2.csv"
+
+        def fig2(n):
+            config.write_text(f"[system]\nn = {n}\n[fig2]\nepsilon_values = 0.1\n")
+            return main(["fig2", "--config", str(config), "--out", str(out)])
+
+        # n - 1 rows per epsilon, held in memory: about 90 GB at n = 1e8
+        start = time.perf_counter()
+        assert fig2(100_000_000) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "config key 'n'" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
+        assert fig2(6) == EXIT_CONFIG
+        assert not out.exists()
+        assert fig2(5) == EXIT_OK
         assert len(read_csv(out)[1]) == 4
 
     @pytest.mark.parametrize(

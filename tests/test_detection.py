@@ -16,6 +16,7 @@ from covertpilot.detection import (
     kl_divergence_deta,
     min_detection_error,
     optimal_threshold,
+    reg_lower_gamma,
 )
 from covertpilot.link_model import PowerAllocation, SystemConfig
 from covertpilot.optimizer import solve_rho_star
@@ -237,6 +238,56 @@ def margin_mp(n, s):
         log_c = n * mpmath.log(n) - mpmath.loggamma(n)
         edges = mpmath.linspace(w_lo, w_lo + width, 9)
         return mpmath.quad(lambda w: mpmath.exp(log_c + n * w - n * mpmath.exp(w)), edges)
+
+
+def tail_mp(n, x, upper):
+    """Oracle: the Gamma(n, 1) mass above x if upper, else below it.
+
+    margin_mp's 40-digit quadrature in w = ln(x/n), taken outward from
+    ln(x/n) over 80 standard deviations, 1/sqrt(n) each, on subintervals
+    that widen geometrically away from x, where the density peaks.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n = mpmath.mpf(n)
+        w_x = mpmath.log(mpmath.mpf(x) / n)
+        step = (1 if upper else -1) / mpmath.sqrt(n)
+        edges = [w_x + t * step for t in (0, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 80)]
+        log_c = n * mpmath.log(n) - mpmath.loggamma(n)
+        return mpmath.quad(
+            lambda w: mpmath.exp(log_c + n * w - n * mpmath.exp(w)), sorted(edges)
+        )
+
+
+def test_tail_oracle_matches_gammainc():
+    mpmath = pytest.importorskip("mpmath")
+    for n in (2, 100, 10**4):
+        for k in (-1.0, -0.5, 0.5, 1.0, 8.0):
+            x = n * (1.0 + k / math.sqrt(n))
+            with mpmath.workdps(40):
+                if x > n:
+                    exact = mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+                else:
+                    exact = mpmath.gammainc(n, 0, x, regularized=True)
+                assert abs(tail_mp(n, x, upper=x > n) - exact) <= 1e-30 * exact, (n, k)
+
+
+def test_gamma_tails_at_scale_against_density_oracle():
+    # x = n (1 + k / sqrt(n)), |k| <= 8, where mpmath.gammainc no longer
+    # converges: P itself below the mode, and alpha, the upper tail, above it
+    for n in (10**7, 10**8):
+        for k in range(-8, 9):
+            x = n * (1.0 + k / math.sqrt(n))
+            tail = tail_mp(n, x, upper=x > n)
+            exact = 1 - tail if x > n else tail
+            assert abs(reg_lower_gamma(n, x) - exact) <= 1.5e-14 * exact, (n, k)
+        cfg = make_cfg(n=n)
+        for c in (0.5, 2.0, 4.0, 8.0, 12.0, 16.0):
+            report = min_detection_error(cfg, c / math.sqrt(n))
+            x = n * report.tau_star
+            assert 0 < (x / n - 1) * math.sqrt(n) <= 8.0
+            exact = tail_mp(n, x, upper=True)
+            assert abs(report.alpha - exact) <= 1.5e-14 * exact, (n, c)
 
 
 class TestCovertMargin:
