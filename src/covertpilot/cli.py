@@ -258,7 +258,8 @@ def resolve_run_config(args, command: str) -> Dict[str, object]:
         if "trials" not in _SECTIONS[command]:
             raise ConfigError(f"--{flag}: '{command}' runs no Monte Carlo trials")
         resolved[flag] = value
-    # fig1's row seeds wrap at 2**64, where one seed would alias another
+    # McConfig's range, checked for every command; fig1 hands the seed to
+    # SeedSequence, which takes any nonnegative integer, to key its rows
     if not 0 <= resolved["seed"] < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {resolved['seed']}")
     return resolved
@@ -346,6 +347,9 @@ def cmd_design(resolved: Dict[str, object], digest: str):
 
 
 def cmd_fig1(resolved: Dict[str, object], digest: str):
+    # fig1 draws, so it loads numpy in any case
+    from numpy.random import SeedSequence
+
     cfg = system_config(resolved)
     rho = resolved["rho"]
     if not rho >= 0:
@@ -357,8 +361,10 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
             alloc = _for_key(
                 "eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p
             )
-            # row i draws from seed + i, wrapped to 64 bits
-            seed = (resolved["seed"] + len(rows)) % 2**64
+            # row i draws from a seed keyed by (seed, i), as the chunks are
+            # keyed, so rows of neighbouring seeds share no stream
+            row_seed = SeedSequence(resolved["seed"], spawn_key=(len(rows),))
+            seed = int(row_seed.generate_state(1, "uint64")[0])
             mc = McConfig(trials=resolved["trials"], seed=seed)
             rates = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest())
             bound = covertness_lower_bound(kl_divergence(cfg, alloc))

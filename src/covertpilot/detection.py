@@ -168,7 +168,7 @@ _TAIL_EXPONENT = 50.0
 # _gamma_tail's panels: at most 2 wide, which the double-exponential
 # density at n = 1 needs, and narrowed so the log-density falls by at
 # most _PANEL_DROP across one; the tail is cut _TAIL_DEPTH below its
-# largest density; no far-side tail needs more than 21 of the _MAX_PANELS
+# largest density; no tail needs more than 21 of the _MAX_PANELS
 _PANEL_MAX = 2.0
 _PANEL_DROP = 4.0
 _TAIL_DEPTH = 40.0
@@ -236,17 +236,16 @@ def covert_margin(n: int, s: float) -> Tuple[float, float]:
 
 
 def _gamma_tail(n: int, x: float, upper: bool) -> float:
-    """Gamma(n, 1) mass above x if upper, else below it; x > 0.
+    """Gamma(n, 1) mass above x if upper, else below it, for x on that side of n.
 
-    In w = ln(x/n) this is the integral of the log-density covert_margin
+    This is the tail on the far side of the mode, the only one that
+    reg_lower_gamma and min_detection_error ask for.  At x = n both tails
+    lie on the far side, so the side is an argument and not read off x.
+    In w = ln(x/n) it is the integral of the log-density covert_margin
     integrates, taken outward from w with the same 16-point panels, each
     at most min(3/sqrt(n), 2) wide and at most 4 / (n |expm1(w)|), so the
     log-density falls by at most about 4 across one.  The integral stops
-    once past the mode and e^-40 below the largest density it has seen:
-    the density at w for the tail on the far side of the mode, e^log_c
-    for the one holding it.  That one is integrated through the mode,
-    which fits in _MAX_PANELS only for x within a few standard deviations
-    of n; reg_lower_gamma and min_detection_error ask for the far one only.
+    e^-40 below the density at w.
 
     w is formed as log1p((x - n)/n) for x > n/2: ln(x/n) leaves an
     absolute error of an ulp in w, which the steep tails at large n
@@ -261,10 +260,9 @@ def _gamma_tail(n: int, x: float, upper: bool) -> float:
         w = math.log(max(x / n, math.ulp(0.0)))
     outward = 1.0 if upper else -1.0
     start = log_c - n * expm1mx(w)
-    far_side = w * outward >= 0.0
     if start < _LOG_DENSITY_MIN:
-        return 0.0 if far_side else 1.0
-    floor = (start if far_side else log_c) - _TAIL_DEPTH
+        return 0.0
+    floor = start - _TAIL_DEPTH
     span = min(_PANEL_SPAN / math.sqrt(n), _PANEL_MAX)
     tail = 0.0
     edge = w
@@ -273,7 +271,7 @@ def _gamma_tail(n: int, x: float, upper: bool) -> float:
         width = span if slope * span <= _PANEL_DROP else _PANEL_DROP / slope
         tail += _panel_mass(n, log_c, edge + outward * 0.5 * width, 0.5 * width)
         edge += outward * width
-        if edge * outward >= 0.0 and log_c - n * expm1mx(edge) < floor:
+        if log_c - n * expm1mx(edge) < floor:
             break
     return tail
 

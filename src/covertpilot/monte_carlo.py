@@ -11,8 +11,9 @@ One pass over the warden stream evaluates every detector a call names,
 and feeds both the error rates and the detector disagreement count.
 Bob's MMSE estimate depends on the pilot observations only through
 their average, whose noise term is CN(0, sigma_b2 / n_p), so that
-average is drawn directly as well, in one pass that feeds both the SINR
-estimate and the estimation diagnostics.
+average is drawn directly as well, in one pass that sums nine moments
+of the estimate and its error; the SINR estimate and the estimation
+diagnostics are both formed from those sums.
 Each pass is memoised for the last (config, allocation, Monte Carlo
 settings), so a second reader of one stream draws nothing.
 
@@ -36,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, Iterator, NamedTuple, Optional, Tuple, Union,
+    TYPE_CHECKING, Dict, Iterator, NamedTuple, Optional, Tuple, Union,
 )
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc
@@ -198,8 +199,7 @@ class _WardenPass(NamedTuple):
 
     key: Tuple[SystemConfig, PowerAllocation, McConfig]
     errors: Dict[Detector, Tuple[int, int]]  # (false alarms, misses)
-    pair: FrozenSet[Detector]  # the first two detectors of the pass
-    disagreements: int  # trials, over both hypotheses, where they differ
+    disagreements: int  # trials, over both hypotheses, where the two differ
 
 
 # the last warden pass, read again by any call it already answers
@@ -212,27 +212,21 @@ def _warden_counts(
     mc: McConfig,
     detectors: Tuple[Detector, ...],
 ) -> _WardenPass:
-    """Each detector's (false alarms, misses), and the disagreements of the first two.
+    """Each detector's (false alarms, misses), and the disagreements of the two.
 
-    One pass over the warden substreams evaluates every detector on the
-    same samples.  It is memoised: a call on the same (cfg, alloc, mc)
-    that asks only for detectors the last pass evaluated, and for the
-    disagreements of the same first two, reads that pass and draws
-    nothing.
+    One pass over the warden substreams evaluates one or two detectors on
+    the same samples.  It is memoised: a call on the same (cfg, alloc, mc)
+    that asks only for detectors the last pass evaluated reads that pass
+    and draws nothing; with at most two detectors per pass, those are
+    the two whose disagreements it counted.
     """
     global _last_warden
     import numpy as np
 
     _check_alloc(cfg, alloc)
     key = (cfg, alloc, mc)
-    pair = frozenset(detectors[:2])
     last = _last_warden
-    if (
-        last is not None
-        and last.key == key
-        and last.errors.keys() >= set(detectors)
-        and (len(detectors) < 2 or last.pair == pair)
-    ):
+    if last is not None and last.key == key and last.errors.keys() >= set(detectors):
         return last
     errors = [[0, 0] for _ in detectors]
     disagreements = 0
@@ -251,7 +245,6 @@ def _warden_counts(
     _last_warden = _WardenPass(
         key=key,
         errors={d: tuple(counts) for d, counts in zip(detectors, errors)},
-        pair=pair,
         disagreements=disagreements,
     )
     return _last_warden
@@ -319,29 +312,21 @@ def _draw_bob_trial(
     return h, gain * z
 
 
-def _sinr_terms(
-    hh: np.ndarray, ee: np.ndarray, rho_d: float, sigma_b2: float
-) -> Iterator[np.ndarray]:
-    """Per-trial signal and interference terms of the SINR, one at a time."""
-    signal = rho_d * hh
-    interference = rho_d * ee + sigma_b2
-    yield signal
-    yield interference
-    yield signal * signal
-    yield interference * interference
-    yield signal * interference
+def _bob_terms(h_hat: np.ndarray, err: np.ndarray) -> Iterator[np.ndarray]:
+    """Per-trial moments of the estimate and its error, one at a time.
 
-
-def _diag_terms(
-    h_hat: np.ndarray, err: np.ndarray, hh: np.ndarray, ee: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Per-trial estimate, error and cross terms of the diagnostics, one at a time."""
+    With hh = |h_hat|^2, ee = |h - h_hat|^2 and c = h_hat conj(h - h_hat):
+    hh, hh^2, ee, ee^2, hh ee, Re c, (Re c)^2, Im c and (Im c)^2.
+    """
     import numpy as np
 
+    hh = np.abs(h_hat) ** 2
+    ee = np.abs(err) ** 2
     yield hh
     yield hh * hh
     yield ee
     yield ee * ee
+    yield hh * ee
     cross = h_hat * np.conj(err)
     yield cross.real
     yield cross.real**2
@@ -350,10 +335,8 @@ def _diag_terms(
 
 
 @functools.lru_cache(maxsize=1)
-def _bob_sums(
-    cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """(SINR sums, diagnostic sums) over one pass of the Bob stream.
+def _bob_sums(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Tuple[float, ...]:
+    """Sums of the nine _bob_terms over one pass of the Bob stream.
 
     Memoised on its frozen inputs, so simulate_bob_sinr and
     bob_estimation_diagnostics on one (cfg, alloc, mc) draw the stream
@@ -361,22 +344,15 @@ def _bob_sums(
     """
     import numpy as np
 
-    def add(sums, terms):
-        # each term is summed and dropped before the next is built; the
-        # first chunk sets the count
-        parts = [float(np.sum(term)) for term in terms]
-        return [total + part for total, part in zip(sums or [0.0] * len(parts), parts)]
-
-    sinr_sums = diag_sums = []
+    _check_alloc(cfg, alloc)
+    sums = [0.0] * 9
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
         h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
-        err = h - h_hat
-        hh = np.abs(h_hat) ** 2
-        ee = np.abs(err) ** 2
-        sinr_sums = add(sinr_sums, _sinr_terms(hh, ee, alloc.rho_d, cfg.sigma_b2))
-        diag_sums = add(diag_sums, _diag_terms(h_hat, err, hh, ee))
-    return tuple(sinr_sums), tuple(diag_sums)
+        # each term is summed and dropped before the next is built
+        sums = [total + float(np.sum(term))
+                for total, term in zip(sums, _bob_terms(h_hat, h - h_hat))]
+    return tuple(sums)
 
 
 def simulate_bob_sinr(
@@ -385,14 +361,19 @@ def simulate_bob_sinr(
     """Empirical post-estimation SINR at Bob.
 
     Per trial, draws the fading coefficient, forms the MMSE estimate from
-    the pilot phase, and accumulates the data-phase signal power
-    rho_d |h_hat|^2 against the interference-plus-noise power
-    rho_d |h - h_hat|^2 + sigma_b2.  Returns the ratio of means with a
-    delta-method standard error.
+    the pilot phase, and weighs the data-phase signal power
+    s = rho_d |h_hat|^2 against the interference-plus-noise power
+    i = rho_d |h - h_hat|^2 + sigma_b2.  The sums of s, i and their
+    products are exact combinations of the moment sums of the Bob pass.
+    Returns the ratio of means with a delta-method standard error.
     """
-    _check_alloc(cfg, alloc)
-    (sum_s, sum_i, sum_ss, sum_ii, sum_si), _ = _bob_sums(cfg, alloc, mc)
-    trials = mc.trials
+    sum_hh, sum_hh2, sum_ee, sum_ee2, sum_hhee, *_ = _bob_sums(cfg, alloc, mc)
+    rho_d, sb2, trials = alloc.rho_d, cfg.sigma_b2, mc.trials
+    sum_s = rho_d * sum_hh
+    sum_i = rho_d * sum_ee + sb2 * trials
+    sum_ss = rho_d * rho_d * sum_hh2
+    sum_ii = rho_d * rho_d * sum_ee2 + 2.0 * rho_d * sb2 * sum_ee + sb2 * sb2 * trials
+    sum_si = rho_d * rho_d * sum_hhee + rho_d * sb2 * sum_hh
     mean_s = sum_s / trials
     mean_i = sum_i / trials
     ratio = mean_s / mean_i
@@ -411,7 +392,7 @@ def bob_estimation_diagnostics(
     correlation of h_hat with h - h_hat is zero for an MMSE split; both
     its components are reported with standard errors for that check.
     """
-    _, (sum_hh, sum_hh2, sum_ee, sum_ee2, sum_cre, sum_cre2, sum_cim, sum_cim2) = (
+    sum_hh, sum_hh2, sum_ee, sum_ee2, _, sum_cre, sum_cre2, sum_cim, sum_cim2 = (
         _bob_sums(cfg, alloc, mc)
     )
     t = mc.trials

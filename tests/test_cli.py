@@ -143,7 +143,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("seed,code", [(-1, EXIT_CONFIG), (2**64, EXIT_CONFIG),
                                            (2**64 - 1, EXIT_OK)])
     def test_seed_must_be_unsigned_64_bit(self, tmp_path, capsys, command, seed, code):
-        # fig1's row seeds wrap at 2**64: seed -1 would draw the rows of 2**64 - 1
+        # fig1 keys its rows by SeedSequence, which takes any seed >= 0
         config = tmp_path / "run.ini"
         config.write_text(
             f"[system]\nseed = {seed}\n[fig1]\nnp_values = 20\neta_grid = 0.5\n"
@@ -513,18 +513,18 @@ class TestDesignCommand:
 GOLDEN = {
     ("default", "design"): "26f1079e0d1c38de30b7319cdb97706a691918729cc050d3f264be377a490288",
     ("default", "design stdout"): "693b5305895d900c1fba5983255e5abb9727d993f2e2d976359cbe43debde6cc",
-    ("default", "fig1"): "2a9a2a153d18e6886cf8d42f8b6c794fa1a2f53e5ea664a056ebe554e4bbcd0a",
+    ("default", "fig1"): "18b42e9b5ac56f270561b2e929b14e1ec03921ae95bc656df3fad5877e13b3e8",
     ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
     ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
     ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
-    ("default", "verify"): "a59392cf23b44995840fffbda658fb682ae1113acdd3ad2dca29143f3ba8c916",
+    ("default", "verify"): "41024b7184b5380ef03c2beb32c4d67592311d24a867461ca8f9451dcc939f50",
     ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
     ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
-    ("readme", "fig1"): "282ae499f4250a2a3b0a2b92608bf3358dd6d4bbed131e22c636339486cbeb69",
+    ("readme", "fig1"): "f11743aeb7b5e7a513f63c96eacf0915ab93f95fd1e0d49f3e86a98ba7ab784c",
     ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
     ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
     ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
-    ("readme", "verify"): "d438473b3a3e8b245059069a623738459e1979764c68d1a16bfa94498e9efb83",
+    ("readme", "verify"): "a5b4a882c0796bdd85c39067cf1d95df0f617bdcf8dcdad78aaa3d87289beb35",
 }
 
 
@@ -580,6 +580,24 @@ class TestFigureCommands:
             column(header, rows, "kl_bound"),
         ):
             assert bound <= xi + 3.0 * se
+
+    def test_fig1_rows_of_neighbouring_seeds_share_no_stream(self, tmp_path):
+        # two equal rows, so row 1 at seed 5 and row 0 at seed 6 differ only by their streams
+        config = tmp_path / "run.ini"
+        config.write_text("[fig1]\nnp_values = 20\neta_grid = 0.5, 0.5\ntrials = 2000\n")
+        outputs = {}
+        for seed, run in ((5, "a"), (6, "a"), (5, "b")):
+            out = tmp_path / f"fig1-{seed}-{run}.csv"
+            flags = ["--config", str(config), "--seed", str(seed), "--out", str(out)]
+            assert main(["fig1", *flags]) == EXIT_OK
+            outputs[seed, run] = out.read_bytes()
+        assert outputs[5, "a"] == outputs[5, "b"]
+        header, rows_5 = read_csv(tmp_path / "fig1-5-a.csv")
+        _, rows_6 = read_csv(tmp_path / "fig1-6-a.csv")
+        xi_5 = column(header, rows_5, "xi_lrt")
+        xi_6 = column(header, rows_6, "xi_lrt")
+        assert xi_5[0] != xi_5[1]
+        assert xi_5[1] != xi_6[0]
 
     def test_fig2_marker_is_column_argmax(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo verification engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from covertpilot.monte_carlo import (
     simulate_willie,
 )
 from covertpilot.detection import reg_lower_gamma
+from covertpilot import cli
 
 
 def make_cfg(n=100, sw2=1.0):
@@ -233,6 +235,42 @@ class TestExactLrtError:
             xi = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest()).xi
             assert abs(xi.value - exact_lrt_xi(cfg, alloc)) <= 4.0 * xi.std_err
 
+    def test_default_fig1_rows_lie_within_four_sigma_of_exact(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        assert cli.main(["fig1", "--out", str(out)]) == cli.EXIT_OK
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 38
+        cfg = make_cfg(n=100)
+        for row in rows:
+            alloc = PowerAllocation.split(
+                n=100, rho=0.05, eta=float(row["eta"]), n_p=int(row["n_p"])
+            )
+            deviation = float(row["xi_lrt"]) - exact_lrt_xi(cfg, alloc)
+            assert abs(deviation) <= 4.0 * float(row["xi_lrt_stderr"]), row
+
+    @pytest.mark.parametrize("n,n_p", [(100, 20), (100, 50), (1000, 300), (10_000, 2000)])
+    def test_exact_error_peaks_at_equal_power(self, n, n_p):
+        # eta = n_d / n and ten steps of 0.01 either side, at rho = 0.5 / sqrt(n)
+        cfg = make_cfg(n=n)
+        equal = (n - n_p) / n
+        etas = [round(equal + k / 100, 2) for k in range(-10, 11)]
+        xis = [
+            exact_lrt_xi(cfg, PowerAllocation.split(n=n, rho=0.5 / math.sqrt(n), eta=eta, n_p=n_p))
+            for eta in etas
+        ]
+        assert etas[int(np.argmax(xis))] == equal
+
+    def test_kl_bound_stays_below_exact_error(self):
+        cases = [(100, n_p, k / 20) for n_p in (20, 50) for k in range(1, 20)]
+        cases += [(10_000, 2000, k / 10) for k in range(1, 10)]
+        for n, n_p, eta in cases:
+            cfg = make_cfg(n=n)
+            alloc = PowerAllocation.split(n=n, rho=0.5 / math.sqrt(n), eta=eta, n_p=n_p)
+            bound = covertness_lower_bound(kl_divergence(cfg, alloc))
+            assert bound < exact_lrt_xi(cfg, alloc), (n, n_p, eta)
+
 
 class TestCoupledWardenDraw:
     def test_equal_power_scales_one_total_per_trial(self):
@@ -434,30 +472,56 @@ class TestBobSimulation:
         assert diag == bob_estimation_diagnostics(cfg, alloc, mc)
         assert len(draws) == 2
 
-    def test_shared_pass_sums_match_two_separate_passes(self):
-        # the SINR pass and the diagnostics pass as separate loops: the
-        # shared pass must reproduce every sum to the bit
+    def test_bob_sums_match_a_reference_loop(self):
+        # the nine moment sums of the shared pass, to the bit
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=40_000, seed=59)
-        sinr_sums = [0.0] * 5
-        diag_sums = [0.0] * 8
+        sums = [0.0] * 9
         for chunk, size in monte_carlo._chunks(mc.trials):
             rng = monte_carlo._stream(mc.seed, 2, chunk)
             h, h_hat = monte_carlo._draw_bob_trial(rng, cfg, alloc, size)
-            signal = alloc.rho_d * np.abs(h_hat) ** 2
-            interference = alloc.rho_d * np.abs(h - h_hat) ** 2 + cfg.sigma_b2
-            terms = (signal, interference, signal * signal,
-                     interference * interference, signal * interference)
-            for k, term in enumerate(terms):
-                sinr_sums[k] += float(np.sum(term))
-            err = h - h_hat
             hh = np.abs(h_hat) ** 2
-            ee = np.abs(err) ** 2
-            cross = h_hat * np.conj(err)
-            terms = (hh, hh * hh, ee, ee * ee, cross.real, cross.real**2,
+            ee = np.abs(h - h_hat) ** 2
+            cross = h_hat * np.conj(h - h_hat)
+            terms = (hh, hh * hh, ee, ee * ee, hh * ee, cross.real, cross.real**2,
                      cross.imag, cross.imag**2)
             for k, term in enumerate(terms):
-                diag_sums[k] += float(np.sum(term))
+                sums[k] += float(np.sum(term))
         monte_carlo._bob_sums.cache_clear()
-        assert monte_carlo._bob_sums(cfg, alloc, mc) == (tuple(sinr_sums), tuple(diag_sums))
+        assert monte_carlo._bob_sums(cfg, alloc, mc) == tuple(sums)
+
+    def test_sinr_matches_five_direct_sums(self):
+        # the SINR formed from the moment sums against sums of the signal
+        # s, the interference i and their products, taken directly
+        mc = McConfig(trials=20_000, seed=61)
+        for n, sigma_b2, rho, n_p, lam in itertools.product(
+            (20, 1000), (1e-3, 1.0, 1e9), (1e-6, 0.05, 100.0), (1, 10), (1e-3, 1.0, 10.0)
+        ):
+            cfg = SystemConfig(n=n, lambda_ab=lam, sigma_b2=sigma_b2, sigma_w2=1.0, epsilon=0.1)
+            alloc = PowerAllocation.equal_power(n=n, rho=rho, n_p=n_p)
+            sums = [0.0] * 5
+            for chunk, size in monte_carlo._chunks(mc.trials):
+                rng = monte_carlo._stream(mc.seed, 2, chunk)
+                h, h_hat = monte_carlo._draw_bob_trial(rng, cfg, alloc, size)
+                s = alloc.rho_d * np.abs(h_hat) ** 2
+                i = alloc.rho_d * np.abs(h - h_hat) ** 2 + sigma_b2
+                for k, term in enumerate((s, i, s * s, i * i, s * i)):
+                    sums[k] += float(np.sum(term))
+            sum_s, sum_i, sum_ss, sum_ii, sum_si = sums
+            t = mc.trials
+            ratio = (sum_s / t) / (sum_i / t)
+            var_resid = (sum_ss - 2.0 * ratio * sum_si + ratio * ratio * sum_ii) / t
+            std_err = math.sqrt(max(var_resid, 0.0) / t) / (sum_i / t)
+            estimate = simulate_bob_sinr(cfg, alloc, mc)
+            case = (n, sigma_b2, rho, n_p, lam)
+            assert estimate.value == pytest.approx(ratio, rel=1e-14, abs=0), case
+            assert estimate.std_err == pytest.approx(std_err, rel=1e-14, abs=0), case
+
+    def test_allocation_for_another_n_is_refused(self):
+        cfg = make_cfg(n=100)
+        alloc = PowerAllocation.equal_power(n=10, rho=0.05, n_p=2)
+        mc = McConfig(trials=1000, seed=1)
+        for reader in (bob_estimation_diagnostics, simulate_bob_sinr):
+            with pytest.raises(ValueError, match="allocation is for n=10 but"):
+                reader(cfg, alloc, mc)

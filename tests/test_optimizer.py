@@ -257,3 +257,53 @@ class TestDesign:
         large = design(make_cfg(n=400))
         assert large.np_star > small.np_star
         assert large.np_star / 400 < small.np_star / 100
+
+
+def normal_quantile_z(epsilon):
+    """z = Phi^-1((1 + epsilon)/2) = sqrt(2) erfinv(epsilon); (1 + epsilon)/2 rounds at small epsilon."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.sqrt(2) * mpmath.erfinv(epsilon))
+
+
+SLOT_LENGTHS = [10**k for k in range(2, 9)]
+
+
+class TestAsymptoticLaws:
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 1e-3, 1e-6, 1e-9])
+    def test_square_root_law(self, eps):
+        # rho* sqrt(n) / (2 z sigma_w2) = 1 + z/sqrt(n) + 1/(12 n) + O(z^2/n);
+        # the O(z^2/n) term measured 0.69 z^2/n, and the solve's tolerance
+        # leaves ~1e-12 relative in rho*
+        z = normal_quantile_z(eps)
+        for n in SLOT_LENGTHS:
+            for sw2 in (1e-3, 1.0):
+                rho = solve_rho_star(make_cfg(n=n, sw2=sw2, eps=eps)).rho
+                excess = rho * math.sqrt(n) / (2.0 * z * sw2) - 1.0
+                law = z / math.sqrt(n) + 1.0 / (12.0 * n)
+                assert abs(excess - law) <= (z * z + 0.05 / math.sqrt(n)) / n + 2e-12, (eps, n)
+
+    def test_pilot_share_is_one_half_at_low_snr(self):
+        # np_continuous / n = 1 / (1 + sqrt(1 + x)) = 1/2 - x/8 + O(x^2) at
+        # x = n lambda rho / (lambda rho + sigma_b2), which shrinks as epsilon does
+        for n in SLOT_LENGTHS:
+            cfg = make_cfg(n=n, eps=1e-9)
+            rho = solve_rho_star(cfg).rho
+            share = np_star(cfg, rho)[0] / n
+            x = n * rho / (rho + 1.0)
+            assert share <= 0.5
+            assert abs(share - (0.5 - x / 8.0)) <= x * x / 16.0 + 1.0 / n, n
+            if n <= 10**6:
+                assert share == 0.5
+
+    def test_pilot_count_approaches_sqrt_n_at_high_snr(self):
+        # np_continuous = n / (1 + sqrt(1 + n)) as sigma_b2 -> 0, which is
+        # sqrt(n) (1 - 1/sqrt(n) + ...): below sqrt(n), and closer in ratio as n grows
+        ratios = []
+        for n in SLOT_LENGTHS:
+            result = design(make_cfg(n=n, sb2=1e-12))
+            ratio = result.np_continuous / math.sqrt(n)
+            assert 0.9 / math.sqrt(n) <= 1.0 - ratio <= 1.0 / math.sqrt(n), n
+            assert abs(result.np_star - result.np_continuous) < 1.0
+            ratios.append(ratio)
+        assert all(b > a for a, b in zip(ratios, ratios[1:]))
