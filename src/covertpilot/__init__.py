@@ -22,17 +22,14 @@ from .link_model import (
     sinr,
 )
 from .monte_carlo import (
-    BobEstimationDiagnostics,
     LikelihoodRatioTest,
     McConfig,
     McEstimate,
     Radiometer,
     TrialBudgetError,
     WillieErrorRates,
-    bob_estimation_diagnostics,
-    count_detector_disagreements,
-    simulate_bob_sinr,
-    simulate_willie,
+    simulate_bob,
+    simulate_warden,
 )
 from .optimizer import (
     DesignResult,
@@ -47,7 +44,6 @@ from .optimizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BobEstimationDiagnostics",
     "DesignResult",
     "DetectionReport",
     "LikelihoodRatioTest",
@@ -59,8 +55,6 @@ __all__ = [
     "SystemConfig",
     "TrialBudgetError",
     "WillieErrorRates",
-    "bob_estimation_diagnostics",
-    "count_detector_disagreements",
     "covert_margin",
     "covertness_lower_bound",
     "design",
@@ -72,8 +66,8 @@ __all__ = [
     "np_sensitivity",
     "np_star",
     "optimal_threshold",
-    "simulate_bob_sinr",
-    "simulate_willie",
+    "simulate_bob",
+    "simulate_warden",
     "sinr",
     "solve_rho_star",
 ]

@@ -32,14 +32,16 @@ from typing import Dict, List, Optional, Sequence
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
 from .link_model import PowerAllocation, SystemConfig, effective_sinr, sinr
 from .monte_carlo import (
+    BobResult,
     LikelihoodRatioTest,
     McConfig,
+    McEstimate,
     Radiometer,
     TrialBudgetError,
-    bob_estimation_diagnostics,
-    count_detector_disagreements,
-    simulate_bob_sinr,
-    simulate_willie,
+    WardenResult,
+    WillieErrorRates,
+    simulate_bob,
+    simulate_warden,
 )
 from .optimizer import SolverError, design, np_star, solve_rho_star
 
@@ -295,10 +297,26 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: List[Sequence]) 
             handle.write(text)
 
 
-# the benchmark's tracer wraps this name, so it stays until the tracer
-# drops it (ROADMAP item 1A)
+# the benchmark's tracer wraps these five names, so they stay until the
+# tracer drops them (ROADMAP item 1A); the last four read a Monte Carlo pass
 def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float:
     return effective_sinr(cfg, PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p))
+
+
+def simulate_willie(warden: WardenResult) -> WillieErrorRates:
+    return warden.rates[0]
+
+
+def count_detector_disagreements(warden: WardenResult) -> int:
+    return warden.disagreements
+
+
+def simulate_bob_sinr(bob: BobResult) -> McEstimate:
+    return bob.sinr
+
+
+def bob_estimation_diagnostics(bob: BobResult) -> BobResult:
+    return bob
 
 
 def _check_pilot_count(key: str, n_p: int, cfg: SystemConfig) -> int:
@@ -366,7 +384,7 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
             row_seed = SeedSequence(resolved["seed"], spawn_key=(len(rows),))
             seed = int(row_seed.generate_state(1, "uint64")[0])
             mc = McConfig(trials=resolved["trials"], seed=seed)
-            rates = simulate_willie(cfg, alloc, mc, LikelihoodRatioTest())
+            rates = simulate_willie(simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),)))
             bound = covertness_lower_bound(kl_divergence(cfg, alloc))
             rows.append([eta, n_p, rates.xi.value, rates.xi.std_err, bound])
     return rows, EXIT_OK
@@ -435,24 +453,26 @@ def cmd_verify(resolved: Dict[str, object], digest: str):
     alloc = _for_key("rho", PowerAllocation.equal_power, n=cfg.n, rho=rho, n_p=n_p)
     analytic = _for_key("rho", min_detection_error, cfg, rho)
     radiometer = Radiometer(threshold=analytic.tau_star)
-    # one warden pass evaluates both detectors; the rates then read it
-    disagreements = count_detector_disagreements(
-        cfg, alloc, mc, radiometer, LikelihoodRatioTest()
-    )
-    rates = simulate_willie(cfg, alloc, mc, radiometer)
-    bob = simulate_bob_sinr(cfg, alloc, mc)
-    diag = bob_estimation_diagnostics(cfg, alloc, mc)
+    # one pass over each stream; the warden pass evaluates both detectors
+    warden = simulate_warden(cfg, alloc, mc, (radiometer, LikelihoodRatioTest()))
+    bob = simulate_bob(cfg, alloc, mc)
+    rates = simulate_willie(warden)
+    disagreements = count_detector_disagreements(warden)
+    bob_sinr = simulate_bob_sinr(bob)
+    diag = bob_estimation_diagnostics(bob)
 
     rows = []
 
     def add_check(name, simulated, expected, std_err, max_z):
         diff = simulated - expected
-        if std_err > 0:
-            z = diff / std_err
-        else:
+        if std_err == 0:
             # a standard error lost to underflow leaves room for no deviation
             z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
-        rows.append([name, simulated, expected, std_err, z, int(abs(z) <= max_z)])
+        else:
+            z = diff / std_err
+        # a value or standard error that overflowed or could not be formed fails
+        passed = math.isfinite(simulated) and math.isfinite(std_err) and abs(z) <= max_z
+        rows.append([name, simulated, expected, std_err, z, int(passed)])
 
     def add_rate_check(name, rate, expected):
         # a count proportion never resolves below one trial in T, so a
@@ -466,7 +486,7 @@ def cmd_verify(resolved: Dict[str, object], digest: str):
         "lrt_vs_radiometer_disagreements",
         float(disagreements), 0.0, 0.0, float(disagreements), int(disagreements == 0),
     ])
-    add_check("bob_sinr", bob.value, sinr(cfg, alloc), bob.std_err, 4.0)
+    add_check("bob_sinr", bob_sinr.value, sinr(cfg, alloc), bob_sinr.std_err, 4.0)
     add_check("bob_orthogonality_re", diag.orth_corr_re.value, 0.0, diag.orth_corr_re.std_err, 4.0)
     add_check("bob_orthogonality_im", diag.orth_corr_im.value, 0.0, diag.orth_corr_im.std_err, 4.0)
     return rows, EXIT_OK if all(row[-1] for row in rows) else EXIT_CHECK_FAILED

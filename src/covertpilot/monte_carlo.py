@@ -13,9 +13,9 @@ Bob's MMSE estimate depends on the pilot observations only through
 their average, whose noise term is CN(0, sigma_b2 / n_p), so that
 average is drawn directly as well, in one pass that sums nine moments
 of the estimate and its error; the SINR estimate and the estimation
-diagnostics are both formed from those sums.
-Each pass is memoised for the last (config, allocation, Monte Carlo
-settings), so a second reader of one stream draws nothing.
+diagnostics are both formed from those sums.  simulate_warden and
+simulate_bob each draw their stream once per call and return all that
+the pass yields; nothing is kept between calls.
 
 Determinism: trials are processed in fixed-size chunks and every chunk
 draws from its own SFC64 substream, seeded by SeedSequence(seed,
@@ -32,15 +32,11 @@ closed-form commands never load it.
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING, Dict, Iterator, NamedTuple, Optional, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Tuple, Union
 
-from .link_model import PowerAllocation, SystemConfig, _check_alloc
+from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,12 +64,12 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.trials, numbers.Integral) or self.trials < MIN_TRIALS:
+        if not _is_integer(self.trials) or self.trials < MIN_TRIALS:
             raise TrialBudgetError(
                 f"at least {MIN_TRIALS} trials are required for a reported "
                 f"estimate, got {self.trials!r}"
             )
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -107,10 +103,17 @@ class WillieErrorRates(NamedTuple):
     xi: McEstimate
 
 
-@dataclass(frozen=True)
-class BobEstimationDiagnostics:
-    """Empirical MMSE statistics from the Bob-side simulation."""
+class WardenResult(NamedTuple):
+    """What one pass over the warden substreams yields."""
 
+    rates: Tuple[WillieErrorRates, ...]  # one per detector, in the order given
+    disagreements: int  # trials, over both hypotheses, where the first two differ
+
+
+class BobResult(NamedTuple):
+    """Empirical SINR and MMSE statistics from one pass over Bob's substreams."""
+
+    sinr: McEstimate
     var_h_hat: McEstimate
     var_h_tilde: McEstimate
     orth_corr_re: McEstimate
@@ -194,41 +197,27 @@ def _draw_segment_energies(
     )
 
 
-class _WardenPass(NamedTuple):
-    """Counts from one pass over the warden substreams of (cfg, alloc, mc)."""
-
-    key: Tuple[SystemConfig, PowerAllocation, McConfig]
-    errors: Dict[Detector, Tuple[int, int]]  # (false alarms, misses)
-    disagreements: int  # trials, over both hypotheses, where the two differ
-
-
-# the last warden pass, read again by any call it already answers
-_last_warden: Optional[_WardenPass] = None
-
-
-def _warden_counts(
+def simulate_warden(
     cfg: SystemConfig,
     alloc: PowerAllocation,
     mc: McConfig,
     detectors: Tuple[Detector, ...],
-) -> _WardenPass:
-    """Each detector's (false alarms, misses), and the disagreements of the two.
+) -> WardenResult:
+    """Empirical error rates of each detector, and the disagreements of the first two.
 
-    One pass over the warden substreams evaluates one or two detectors on
-    the same samples.  It is memoised: a call on the same (cfg, alloc, mc)
-    that asks only for detectors the last pass evaluated reads that pass
-    and draws nothing; with at most two detectors per pass, those are
-    the two whose disagreements it counted.
+    One pass over the warden substreams runs mc.trials slots under each
+    hypothesis and applies every detector to the same samples, so the
+    disagreement count comes from exactly the samples that produced the
+    rates.  Per detector, xi = alpha + beta.  The two hypotheses share
+    one draw per trial, whose H1 segment energies are never below its H0
+    ones, and both detectors weigh the energies with nonnegative weights,
+    so a false alarm and a miss never fall on one trial: xi is a binomial
+    proportion at any power split.
     """
-    global _last_warden
     import numpy as np
 
     _check_alloc(cfg, alloc)
-    key = (cfg, alloc, mc)
-    last = _last_warden
-    if last is not None and last.key == key and last.errors.keys() >= set(detectors):
-        return last
-    errors = [[0, 0] for _ in detectors]
+    errors = [[0, 0] for _ in detectors]  # (false alarms, misses)
     disagreements = 0
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
@@ -242,52 +231,15 @@ def _warden_counts(
                 counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
             if len(decisions) > 1:
                 disagreements += int(np.count_nonzero(decisions[0] != decisions[1]))
-    _last_warden = _WardenPass(
-        key=key,
-        errors={d: tuple(counts) for d, counts in zip(detectors, errors)},
-        disagreements=disagreements,
+    rates = tuple(
+        WillieErrorRates(
+            alpha=_prob_estimate(false_alarms, mc.trials),
+            beta=_prob_estimate(missed, mc.trials),
+            xi=_prob_estimate(false_alarms + missed, mc.trials),
+        )
+        for false_alarms, missed in errors
     )
-    return _last_warden
-
-
-def simulate_willie(
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    mc: McConfig,
-    detector: Detector,
-) -> WillieErrorRates:
-    """Empirical false alarm, missed detection, and total error rates.
-
-    Runs mc.trials slots under each hypothesis and applies the detector;
-    xi = alpha + beta.  The two hypotheses share one draw per trial,
-    whose H1 segment energies are never below its H0 ones, and both
-    detectors weigh the energies with nonnegative weights, so a false
-    alarm and a miss never fall on one trial: xi is a binomial
-    proportion at any power split.  Reads the last warden pass when that
-    pass already evaluated the detector on the same (cfg, alloc, mc).
-    """
-    false_alarms, missed = _warden_counts(cfg, alloc, mc, (detector,)).errors[detector]
-    return WillieErrorRates(
-        alpha=_prob_estimate(false_alarms, mc.trials),
-        beta=_prob_estimate(missed, mc.trials),
-        xi=_prob_estimate(false_alarms + missed, mc.trials),
-    )
-
-
-def count_detector_disagreements(
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    mc: McConfig,
-    detector_a: Detector,
-    detector_b: Detector,
-) -> int:
-    """Trials (over both hypotheses) where the two detectors decide differently.
-
-    Reads the same warden pass as simulate_willie, so both detectors see
-    exactly the samples that produced the reported error rates, and a
-    later simulate_willie for either detector draws nothing.
-    """
-    return _warden_counts(cfg, alloc, mc, (detector_a, detector_b)).disagreements
+    return WardenResult(rates=rates, disagreements=disagreements)
 
 
 def _draw_bob_trial(
@@ -334,13 +286,20 @@ def _bob_terms(h_hat: np.ndarray, err: np.ndarray) -> Iterator[np.ndarray]:
     yield cross.imag**2
 
 
-@functools.lru_cache(maxsize=1)
-def _bob_sums(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Tuple[float, ...]:
-    """Sums of the nine _bob_terms over one pass of the Bob stream.
+def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> BobResult:
+    """Empirical post-estimation SINR at Bob and the MMSE diagnostics.
 
-    Memoised on its frozen inputs, so simulate_bob_sinr and
-    bob_estimation_diagnostics on one (cfg, alloc, mc) draw the stream
-    once between them.
+    Per trial, draws the fading coefficient, forms the MMSE estimate from
+    the pilot phase, and weighs the data-phase signal power
+    s = rho_d |h_hat|^2 against the interference-plus-noise power
+    i = rho_d |h - h_hat|^2 + sigma_b2.  One pass sums the nine
+    _bob_terms; the sums of s, i and their products are exact
+    combinations of those, and the SINR is their ratio of means with a
+    delta-method standard error.  The same sums give the variances of
+    the estimate and its error, and the correlation of h_hat with
+    h - h_hat, which is zero for an MMSE split; both its components are
+    reported with standard errors for that check, and are NaN where the
+    variances underflow so far that no correlation can be formed.
     """
     import numpy as np
 
@@ -352,22 +311,8 @@ def _bob_sums(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Tuple[
         # each term is summed and dropped before the next is built
         sums = [total + float(np.sum(term))
                 for total, term in zip(sums, _bob_terms(h_hat, h - h_hat))]
-    return tuple(sums)
+    sum_hh, sum_hh2, sum_ee, sum_ee2, sum_hhee, sum_cre, sum_cre2, sum_cim, sum_cim2 = sums
 
-
-def simulate_bob_sinr(
-    cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
-) -> McEstimate:
-    """Empirical post-estimation SINR at Bob.
-
-    Per trial, draws the fading coefficient, forms the MMSE estimate from
-    the pilot phase, and weighs the data-phase signal power
-    s = rho_d |h_hat|^2 against the interference-plus-noise power
-    i = rho_d |h - h_hat|^2 + sigma_b2.  The sums of s, i and their
-    products are exact combinations of the moment sums of the Bob pass.
-    Returns the ratio of means with a delta-method standard error.
-    """
-    sum_hh, sum_hh2, sum_ee, sum_ee2, sum_hhee, *_ = _bob_sums(cfg, alloc, mc)
     rho_d, sb2, trials = alloc.rho_d, cfg.sigma_b2, mc.trials
     sum_s = rho_d * sum_hh
     sum_i = rho_d * sum_ee + sb2 * trials
@@ -380,36 +325,26 @@ def simulate_bob_sinr(
     # delta method: var(ratio) ~ var(s - ratio * i) / (trials * mean_i^2)
     var_resid = (sum_ss - 2.0 * ratio * sum_si + ratio * ratio * sum_ii) / trials
     std_err = math.sqrt(max(var_resid, 0.0) / trials) / mean_i
-    return McEstimate(value=ratio, std_err=std_err, trials=trials)
-
-
-def bob_estimation_diagnostics(
-    cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig
-) -> BobEstimationDiagnostics:
-    """Empirical estimate/error variances and their normalized correlation.
-
-    Reads the same pass over the Bob stream as simulate_bob_sinr.  The
-    correlation of h_hat with h - h_hat is zero for an MMSE split; both
-    its components are reported with standard errors for that check.
-    """
-    sum_hh, sum_hh2, sum_ee, sum_ee2, _, sum_cre, sum_cre2, sum_cim, sum_cim2 = (
-        _bob_sums(cfg, alloc, mc)
-    )
-    t = mc.trials
 
     def moment_estimate(total: float, total_sq: float) -> McEstimate:
-        mean = total / t
-        var = max(total_sq / t - mean * mean, 0.0)
-        return McEstimate(value=mean, std_err=math.sqrt(var / t), trials=t)
+        mean = total / trials
+        var = max(total_sq / trials - mean * mean, 0.0)
+        return McEstimate(value=mean, std_err=math.sqrt(var / trials), trials=trials)
 
     var_h_hat = moment_estimate(sum_hh, sum_hh2)
     var_h_tilde = moment_estimate(sum_ee, sum_ee2)
     norm = math.sqrt(var_h_hat.value * var_h_tilde.value)
-    re = moment_estimate(sum_cre, sum_cre2)
-    im = moment_estimate(sum_cim, sum_cim2)
-    return BobEstimationDiagnostics(
+
+    def correlation(total: float, total_sq: float) -> McEstimate:
+        if norm == 0.0:  # the variances' product underflowed
+            return McEstimate(math.nan, math.nan, trials)
+        moment = moment_estimate(total, total_sq)
+        return McEstimate(moment.value / norm, moment.std_err / norm, trials)
+
+    return BobResult(
+        sinr=McEstimate(value=ratio, std_err=std_err, trials=trials),
         var_h_hat=var_h_hat,
         var_h_tilde=var_h_tilde,
-        orth_corr_re=McEstimate(re.value / norm, re.std_err / norm, t),
-        orth_corr_im=McEstimate(im.value / norm, im.std_err / norm, t),
+        orth_corr_re=correlation(sum_cre, sum_cre2),
+        orth_corr_im=correlation(sum_cim, sum_cim2),
     )

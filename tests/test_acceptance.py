@@ -11,7 +11,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from covertpilot import monte_carlo
 from covertpilot.cli import EXIT_OK, main
 from covertpilot.detection import (
     covertness_lower_bound,
@@ -24,10 +23,8 @@ from covertpilot.monte_carlo import (
     LikelihoodRatioTest,
     McConfig,
     Radiometer,
-    bob_estimation_diagnostics,
-    count_detector_disagreements,
-    simulate_bob_sinr,
-    simulate_willie,
+    simulate_bob,
+    simulate_warden,
 )
 from covertpilot.optimizer import np_continuous, np_sensitivity, np_star, solve_rho_star
 
@@ -61,7 +58,8 @@ def test_criterion_1_equal_power_maximizes_warden_error():
             for i, eta in enumerate(etas):
                 alloc = PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p)
                 mc = McConfig(trials=100_000, seed=1000 + i)
-                xi_mc.append(simulate_willie(cfg, alloc, mc, LikelihoodRatioTest()).xi.value)
+                warden = simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),))
+                xi_mc.append(warden.rates[0].xi.value)
                 bound.append(covertness_lower_bound(kl_divergence(cfg, alloc)))
             mc_peak = etas[int(np.argmax(xi_mc))]
             bound_peak = etas[int(np.argmax(bound))]
@@ -123,17 +121,13 @@ def test_criterion_3_closed_form_error_probability_matches_simulation():
             analytic = min_detection_error(cfg, rho)
             mc = McConfig(trials=1_000_000, seed=3000 + i)
             radiometer = Radiometer(threshold=analytic.tau_star)
-            rates = simulate_willie(cfg, alloc, mc, radiometer)
+            warden = simulate_warden(cfg, alloc, mc, (radiometer, LikelihoodRatioTest()))
+            rates = warden.rates[0]
             # rule-of-three floor: a zero-error count has zero binomial
             # standard error but is still consistent with xi_star up to ~3/T
             band = 3.0 * max(rates.xi.std_err, 1.0 / mc.trials)
             assert abs(rates.xi.value - analytic.xi_star) <= band
-            assert (
-                count_detector_disagreements(
-                    cfg, alloc, mc, LikelihoodRatioTest(), radiometer
-                )
-                == 0
-            )
+            assert warden.disagreements == 0
 
 
 def test_criterion_4_power_solver_round_trip():
@@ -222,20 +216,16 @@ def test_criterion_8_receiver_side_simulation_matches_analytics():
                 n_p=int(rng.integers(1, n)),
             )
             mc = McConfig(trials=1_000_000, seed=5000 + i)
-            estimate = simulate_bob_sinr(cfg, alloc, mc)
-            assert abs(estimate.value - sinr(cfg, alloc)) <= 0.02 * sinr(cfg, alloc)
-            diag = bob_estimation_diagnostics(cfg, alloc, mc)
-            assert abs(diag.orth_corr_re.value) <= 4.0 * diag.orth_corr_re.std_err
-            assert abs(diag.orth_corr_im.value) <= 4.0 * diag.orth_corr_im.std_err
+            bob = simulate_bob(cfg, alloc, mc)
+            assert abs(bob.sinr.value - sinr(cfg, alloc)) <= 0.02 * sinr(cfg, alloc)
+            assert abs(bob.orth_corr_re.value) <= 4.0 * bob.orth_corr_re.std_err
+            assert abs(bob.orth_corr_im.value) <= 4.0 * bob.orth_corr_im.std_err
 
 
-def test_criterion_9_verify_output_is_deterministic(tmp_path, monkeypatch):
+def test_criterion_9_verify_output_is_deterministic(tmp_path):
     with criterion(9, "verify CSV is byte-identical across runs with one seed"):
         out_a = tmp_path / "verify_a.csv"
         out_b = tmp_path / "verify_b.csv"
         assert main(["verify", "--seed", "42", "--out", str(out_a)]) == EXIT_OK
-        # the second run draws afresh rather than reading the memoised passes
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        monte_carlo._bob_sums.cache_clear()
         assert main(["verify", "--seed", "42", "--out", str(out_b)]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()

@@ -630,15 +630,12 @@ class TestFigureCommands:
 
 
 class TestVerifyCommand:
-    def test_passes_and_is_deterministic(self, tmp_path, monkeypatch):
+    def test_passes_and_is_deterministic(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text("[verify]\ntrials = 20000\n")
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         assert main(["verify", "--config", str(config), "--out", str(out_a), "--seed", "7"]) == EXIT_OK
-        # the second run draws afresh rather than reading the memoised passes
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        monte_carlo._bob_sums.cache_clear()
         assert main(["verify", "--config", str(config), "--out", str(out_b), "--seed", "7"]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -669,14 +666,15 @@ class TestVerifyCommand:
             return stream(seed, domain, chunk)
 
         monkeypatch.setattr(monte_carlo, "_stream", counted)
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        monte_carlo._bob_sums.cache_clear()
         trials = 2 * monte_carlo.CHUNK_TRIALS + 1000
         out = tmp_path / "verify.csv"
-        assert main(["verify", "--trials", str(trials), "--out", str(out)]) == EXIT_OK
-        chunks = [0, 1, 2]
-        assert [c for d, c in opened if d == monte_carlo._DOMAIN_WILLIE] == chunks
-        assert [c for d, c in opened if d == monte_carlo._DOMAIN_BOB] == chunks
+        # once per run: a second run in the same process draws afresh
+        for _ in range(2):
+            opened.clear()
+            assert main(["verify", "--trials", str(trials), "--out", str(out)]) == EXIT_OK
+            chunks = [0, 1, 2]
+            assert [c for d, c in opened if d == monte_carlo._DOMAIN_WILLIE] == chunks
+            assert [c for d, c in opened if d == monte_carlo._DOMAIN_BOB] == chunks
 
     def test_zero_std_err_is_floored_at_one_trial(self, tmp_path):
         # the radiometer never errs at this SNR, so every warden count is 0
@@ -690,6 +688,22 @@ class TestVerifyCommand:
             row = dict(zip(header, named[check]))
             assert float(row["simulated"]) == 0.0
             assert float(row["std_err"]) == 1.0 / 2000
+
+    @pytest.mark.parametrize("lambda_ab", ["1e200", "1e-120"], ids=["overflow", "underflow"])
+    def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, lambda_ab):
+        # at 1e200 the moment sums overflow and the standard errors are NaN;
+        # at 1e-120 the variances' product underflows to 0, so no
+        # correlation can be formed, and verify still writes every row
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\nlambda_ab = {lambda_ab}\n[verify]\ntrials = 2000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, rows = read_csv(out)
+        named = dict(zip(column(header, rows, "check", str), rows))
+        assert len(named) == 7
+        for check in ("bob_orthogonality_re", "bob_orthogonality_im"):
+            row = dict(zip(header, named[check]))
+            assert (row["std_err"], row["passed"]) == ("nan", "0"), check
 
     def test_low_snr_bob_sinr_keeps_its_own_std_err(self, tmp_path, monkeypatch):
         # Bob's SINR here is ~5e-20 and its standard error far below one

@@ -20,10 +20,8 @@ from covertpilot.monte_carlo import (
     McConfig,
     Radiometer,
     TrialBudgetError,
-    bob_estimation_diagnostics,
-    count_detector_disagreements,
-    simulate_bob_sinr,
-    simulate_willie,
+    simulate_bob,
+    simulate_warden,
 )
 from covertpilot.detection import reg_lower_gamma
 from covertpilot import cli
@@ -31,6 +29,10 @@ from covertpilot import cli
 
 def make_cfg(n=100, sw2=1.0):
     return SystemConfig(n=n, lambda_ab=1.0, sigma_b2=1.0, sigma_w2=sw2, epsilon=0.1)
+
+
+def simulate_willie(cfg, alloc, mc, detector):
+    return simulate_warden(cfg, alloc, mc, (detector,)).rates[0]
 
 
 def mmse_split(cfg, alloc):
@@ -56,28 +58,23 @@ class TestMcConfig:
             McConfig(trials=1000, seed=-1)
         with pytest.raises(ValueError):
             McConfig(trials=1000, seed=2**64)
+        with pytest.raises(ValueError, match="got True"):
+            McConfig(trials=1000, seed=True)
 
 
 class TestDeterminism:
-    # each second call draws afresh rather than reading the memoised pass
-
-    def test_willie_estimates_bit_identical(self, monkeypatch):
+    def test_willie_estimates_bit_identical(self):
         cfg = make_cfg(n=50)
         alloc = PowerAllocation.equal_power(n=50, rho=0.2, n_p=10)
         mc = McConfig(trials=20_000, seed=99)
         det = Radiometer(threshold=optimal_threshold(0.2, 1.0))
-        first = simulate_willie(cfg, alloc, mc, det)
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        second = simulate_willie(cfg, alloc, mc, det)
-        assert first == second
+        assert simulate_warden(cfg, alloc, mc, (det,)) == simulate_warden(cfg, alloc, mc, (det,))
 
     def test_bob_estimates_bit_identical(self):
         cfg = make_cfg(n=50)
         alloc = PowerAllocation.equal_power(n=50, rho=0.2, n_p=10)
         mc = McConfig(trials=20_000, seed=99)
-        first = simulate_bob_sinr(cfg, alloc, mc)
-        monte_carlo._bob_sums.cache_clear()
-        assert simulate_bob_sinr(cfg, alloc, mc) == first
+        assert simulate_bob(cfg, alloc, mc) == simulate_bob(cfg, alloc, mc)
 
     def test_different_seeds_differ(self):
         cfg = make_cfg(n=50)
@@ -145,12 +142,8 @@ class TestWillieDetection:
         alloc = PowerAllocation.equal_power(n=100, rho=rho, n_p=20)
         mc = McConfig(trials=100_000, seed=11)
         tau = optimal_threshold(rho, cfg.sigma_w2)
-        assert (
-            count_detector_disagreements(
-                cfg, alloc, mc, LikelihoodRatioTest(), Radiometer(threshold=tau)
-            )
-            == 0
-        )
+        detectors = (LikelihoodRatioTest(), Radiometer(threshold=tau))
+        assert simulate_warden(cfg, alloc, mc, detectors).disagreements == 0
 
     def test_radiometer_false_alarm_matches_chi_square_tail(self):
         cfg = make_cfg(n=60)
@@ -352,60 +345,18 @@ class TestSharedWardenPass:
          PowerAllocation.split(n=100, rho=0.05, eta=0.7, n_p=20)],
         ids=["coupled", "split"],
     )
-    def test_shared_pass_matches_separate_passes(self, alloc, monkeypatch):
+    def test_shared_pass_matches_separate_passes(self, alloc):
         cfg = make_cfg(n=100)
         mc = McConfig(trials=40_000, seed=61)
         radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
         lrt = LikelihoodRatioTest()
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        disagreements = count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
-        for det, other in ((radiometer, lrt), (lrt, radiometer)):
-            rates = simulate_willie(cfg, alloc, mc, det)
+        warden = simulate_warden(cfg, alloc, mc, (radiometer, lrt))
+        for rates, (det, other) in zip(warden.rates, ((radiometer, lrt), (lrt, radiometer))):
             false_alarms, missed, expected = separate_warden_passes(cfg, alloc, mc, det, other)
             assert (rates.alpha.value, rates.beta.value) == (
                 false_alarms / mc.trials, missed / mc.trials
             )
-            assert disagreements == expected
-
-    def test_other_inputs_are_not_served_stale_counts(self, monkeypatch):
-        cfg = make_cfg(n=100)
-        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
-        mc = McConfig(trials=20_000, seed=67)
-        radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
-        lrt = LikelihoodRatioTest()
-        other = Radiometer(threshold=1.0)
-        calls = [
-            (simulate_willie, cfg, alloc, McConfig(trials=20_000, seed=68), radiometer),
-            (simulate_willie, cfg, alloc, McConfig(trials=30_000, seed=67), radiometer),
-            (simulate_willie, cfg, PowerAllocation.equal_power(n=100, rho=0.1, n_p=20),
-             mc, radiometer),
-            (simulate_willie, cfg, PowerAllocation.split(n=100, rho=0.05, eta=0.7, n_p=20),
-             mc, radiometer),
-            (simulate_willie, make_cfg(n=100, sw2=1.1), alloc, mc, radiometer),
-            (simulate_willie, cfg, alloc, mc, other),
-            (count_detector_disagreements, cfg, alloc, mc, radiometer, other),
-            (count_detector_disagreements, cfg, alloc, mc, other, lrt),
-        ]
-        for fn, *args in calls:
-            monkeypatch.setattr(monte_carlo, "_last_warden", None)
-            fresh = fn(*args)
-            count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
-            assert fn(*args) == fresh
-
-    def test_pass_is_read_again_only_for_what_it_evaluated(self, monkeypatch):
-        cfg = make_cfg(n=100)
-        alloc = PowerAllocation.equal_power(n=100, rho=0.05, n_p=20)
-        mc = McConfig(trials=20_000, seed=71)
-        radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
-        lrt = LikelihoodRatioTest()
-        monkeypatch.setattr(monte_carlo, "_last_warden", None)
-        count_detector_disagreements(cfg, alloc, mc, radiometer, lrt)
-        last = monte_carlo._last_warden
-        simulate_willie(cfg, alloc, mc, lrt)
-        count_detector_disagreements(cfg, alloc, mc, lrt, radiometer)
-        assert monte_carlo._last_warden is last
-        simulate_willie(cfg, alloc, mc, Radiometer(threshold=1.0))
-        assert monte_carlo._last_warden is not last
+            assert warden.disagreements == expected
 
 
 class TestBobSimulation:
@@ -413,7 +364,7 @@ class TestBobSimulation:
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=200_000, seed=31)
-        estimate = simulate_bob_sinr(cfg, alloc, mc)
+        estimate = simulate_bob(cfg, alloc, mc).sinr
         analytic = sinr(cfg, alloc)
         assert estimate.value == pytest.approx(analytic, rel=0.02)
         assert abs(estimate.value - analytic) <= 4.0 * estimate.std_err
@@ -423,7 +374,7 @@ class TestBobSimulation:
         cfg = make_cfg(n=10)
         alloc = PowerAllocation(n=10, n_p=2, rho_p=0.5, rho_d=1.0)
         mc = McConfig(trials=200_000, seed=37)
-        diag = bob_estimation_diagnostics(cfg, alloc, mc)
+        diag = simulate_bob(cfg, alloc, mc)
         assert abs(diag.var_h_hat.value - 0.5) <= 3.0 * diag.var_h_hat.std_err
         assert abs(diag.var_h_tilde.value - 0.5) <= 3.0 * diag.var_h_tilde.std_err
 
@@ -431,7 +382,7 @@ class TestBobSimulation:
         cfg = make_cfg(n=10)
         alloc = PowerAllocation(n=10, n_p=2, rho_p=5e5, rho_d=1.0)
         mc = McConfig(trials=50_000, seed=41)
-        diag = bob_estimation_diagnostics(cfg, alloc, mc)
+        diag = simulate_bob(cfg, alloc, mc)
         assert diag.var_h_tilde.value < 1e-5
 
     def test_orthogonality_of_estimate_and_error(self):
@@ -439,7 +390,7 @@ class TestBobSimulation:
         mc = McConfig(trials=200_000, seed=43)
         for n_p, eta in ((10, 0.5), (40, 0.7)):
             alloc = PowerAllocation.split(n=100, rho=0.6, eta=eta, n_p=n_p)
-            diag = bob_estimation_diagnostics(cfg, alloc, mc)
+            diag = simulate_bob(cfg, alloc, mc)
             assert abs(diag.orth_corr_re.value) <= 4.0 * diag.orth_corr_re.std_err
             assert abs(diag.orth_corr_im.value) <= 4.0 * diag.orth_corr_im.std_err
 
@@ -447,12 +398,13 @@ class TestBobSimulation:
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=200_000, seed=47)
-        diag = bob_estimation_diagnostics(cfg, alloc, mc)
+        diag = simulate_bob(cfg, alloc, mc)
         var_h_hat, var_h_tilde = mmse_split(cfg, alloc)
         assert abs(diag.var_h_hat.value - var_h_hat) <= 4.0 * diag.var_h_hat.std_err
         assert abs(diag.var_h_tilde.value - var_h_tilde) <= 4.0 * diag.var_h_tilde.std_err
 
     def test_sinr_and_diagnostics_share_one_pass(self, monkeypatch):
+        # each call draws every chunk once: nothing is kept between calls
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=20_000, seed=53)
@@ -464,16 +416,13 @@ class TestBobSimulation:
             return draw(*args)
 
         monkeypatch.setattr(monte_carlo, "_draw_bob_trial", counted)
-        monte_carlo._bob_sums.cache_clear()
-        estimate = simulate_bob_sinr(cfg, alloc, mc)
-        diag = bob_estimation_diagnostics(cfg, alloc, mc)
+        first = simulate_bob(cfg, alloc, mc)
         assert draws == [CHUNK_TRIALS, mc.trials - CHUNK_TRIALS]
-        assert estimate == simulate_bob_sinr(cfg, alloc, mc)
-        assert diag == bob_estimation_diagnostics(cfg, alloc, mc)
-        assert len(draws) == 2
+        assert simulate_bob(cfg, alloc, mc) == first
+        assert draws == 2 * [CHUNK_TRIALS, mc.trials - CHUNK_TRIALS]
 
     def test_bob_sums_match_a_reference_loop(self):
-        # the nine moment sums of the shared pass, to the bit
+        # every estimate from the nine moment sums of a reference loop, to the bit
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.split(n=100, rho=0.8, eta=0.6, n_p=25)
         mc = McConfig(trials=40_000, seed=59)
@@ -488,8 +437,35 @@ class TestBobSimulation:
                      cross.imag, cross.imag**2)
             for k, term in enumerate(terms):
                 sums[k] += float(np.sum(term))
-        monte_carlo._bob_sums.cache_clear()
-        assert monte_carlo._bob_sums(cfg, alloc, mc) == tuple(sums)
+        t = mc.trials
+
+        def moment(total, total_sq):
+            mean = total / t
+            return mean, math.sqrt(max(total_sq / t - mean * mean, 0.0) / t)
+
+        hh, ee = moment(*sums[0:2]), moment(*sums[2:4])
+        norm = math.sqrt(hh[0] * ee[0])
+        re, im = moment(*sums[5:7]), moment(*sums[7:9])
+        # the SINR's sums of s, i and their products, as exact combinations
+        rho_d, sb2 = alloc.rho_d, cfg.sigma_b2
+        sum_s, sum_i = rho_d * sums[0], rho_d * sums[2] + sb2 * t
+        sum_ss = rho_d * rho_d * sums[1]
+        sum_ii = rho_d * rho_d * sums[3] + 2.0 * rho_d * sb2 * sums[2] + sb2 * sb2 * t
+        sum_si = rho_d * rho_d * sums[4] + rho_d * sb2 * sums[0]
+        ratio = (sum_s / t) / (sum_i / t)
+        var_resid = (sum_ss - 2.0 * ratio * sum_si + ratio * ratio * sum_ii) / t
+        expected = [
+            (ratio, math.sqrt(max(var_resid, 0.0) / t) / (sum_i / t)),
+            hh,
+            ee,
+            (re[0] / norm, re[1] / norm),
+            (im[0] / norm, im[1] / norm),
+        ]
+        result = simulate_bob(cfg, alloc, mc)
+        estimates = (result.sinr, result.var_h_hat, result.var_h_tilde,
+                     result.orth_corr_re, result.orth_corr_im)
+        assert [(e.value, e.std_err) for e in estimates] == expected
+        assert {e.trials for e in estimates} == {t}
 
     def test_sinr_matches_five_direct_sums(self):
         # the SINR formed from the moment sums against sums of the signal
@@ -513,7 +489,7 @@ class TestBobSimulation:
             ratio = (sum_s / t) / (sum_i / t)
             var_resid = (sum_ss - 2.0 * ratio * sum_si + ratio * ratio * sum_ii) / t
             std_err = math.sqrt(max(var_resid, 0.0) / t) / (sum_i / t)
-            estimate = simulate_bob_sinr(cfg, alloc, mc)
+            estimate = simulate_bob(cfg, alloc, mc).sinr
             case = (n, sigma_b2, rho, n_p, lam)
             assert estimate.value == pytest.approx(ratio, rel=1e-14, abs=0), case
             assert estimate.std_err == pytest.approx(std_err, rel=1e-14, abs=0), case
@@ -522,6 +498,7 @@ class TestBobSimulation:
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.equal_power(n=10, rho=0.05, n_p=2)
         mc = McConfig(trials=1000, seed=1)
-        for reader in (bob_estimation_diagnostics, simulate_bob_sinr):
-            with pytest.raises(ValueError, match="allocation is for n=10 but"):
-                reader(cfg, alloc, mc)
+        with pytest.raises(ValueError, match="allocation is for n=10 but"):
+            simulate_bob(cfg, alloc, mc)
+        with pytest.raises(ValueError, match="allocation is for n=10 but"):
+            simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),))

@@ -20,17 +20,14 @@ PUBLIC = {
     "effective_sinr",
     "sinr",
     # Monte Carlo verification
-    "BobEstimationDiagnostics",
     "LikelihoodRatioTest",
     "McConfig",
     "McEstimate",
     "Radiometer",
     "TrialBudgetError",
     "WillieErrorRates",
-    "bob_estimation_diagnostics",
-    "count_detector_disagreements",
-    "simulate_bob_sinr",
-    "simulate_willie",
+    "simulate_bob",
+    "simulate_warden",
     # design
     "DesignResult",
     "SolverError",
@@ -50,13 +47,17 @@ REMOVED = (
     "draw_willie_observation",
     "WillieObservation",
     "segment_energies",
+    # memos of the Monte Carlo passes, which now run once per call
+    "_last_warden",
+    "_bob_sums",
+    "BobEstimationDiagnostics",
 )
 
 MODULES = ("cli", "detection", "link_model", "monte_carlo", "optimizer", "specfun")
 
 
 def test_all_is_the_expected_set():
-    assert len(covertpilot.__all__) == len(PUBLIC) == 29
+    assert len(covertpilot.__all__) == len(PUBLIC) == 26
     assert set(covertpilot.__all__) == PUBLIC
 
 
