@@ -11,11 +11,11 @@ One pass over the warden stream evaluates every detector a call names,
 and feeds both the error rates and the detector disagreement count.
 Bob's MMSE estimate depends on the pilot observations only through
 their average, whose noise term is CN(0, sigma_b2 / n_p), so that
-average is drawn directly as well, in one pass that sums nine moments
-of the estimate and its error; the SINR estimate and the estimation
-diagnostics are both formed from those sums.  simulate_warden and
-simulate_bob each draw their stream once per call and return all that
-the pass yields; nothing is kept between calls.
+average is drawn directly as well, in one pass of real arithmetic that
+sums nine moments of the estimate and its error; the SINR estimate and
+the estimation diagnostics are both formed from those sums.
+simulate_warden and simulate_bob each draw their stream once per call
+and return all that the pass yields; nothing is kept between calls.
 
 Determinism: trials are processed in fixed-size chunks and every chunk
 draws from its own SFC64 substream, seeded by SeedSequence(seed,
@@ -23,8 +23,9 @@ spawn_key=(domain, chunk index)).  SeedSequence pads the 64-bit seed
 to a fixed width before it appends the spawn key, so no two (seed,
 domain, chunk) share a state; as one flat entropy list they can (seed
 5 + 2**32 at chunk 0 and seed 5 at chunk 1 do).  Counts are reduced as
-exact integers, so estimates are bit-identical for a given (seed,
-config) regardless of how chunks are scheduled.
+exact integers, and Bob's moments by numpy's pairwise sum in chunk
+order (no BLAS call, whose order varies with the build and thread
+count), so estimates are bit-identical for a given (seed, config).
 
 numpy is imported by the functions that draw, not by the module, so the
 closed-form commands never load it.
@@ -141,12 +142,6 @@ def _prob_estimate(count: int, trials: int) -> McEstimate:
     )
 
 
-def _complex_normal(rng: np.random.Generator, var: float, size: int) -> np.ndarray:
-    # circularly symmetric: two real Gaussians of variance var/2 per component
-    scale = math.sqrt(var / 2.0)
-    return scale * rng.standard_normal(size) + 1j * scale * rng.standard_normal(size)
-
-
 def _decides_h1(
     detector: Detector,
     cfg: SystemConfig,
@@ -242,78 +237,82 @@ def simulate_warden(
     return WardenResult(rates=rates, disagreements=disagreements)
 
 
-def _draw_bob_trial(
-    rng: np.random.Generator,
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    size: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(channel, MMSE estimate) pairs for `size` trials.
+def _draw_bob_trial(rng: np.random.Generator, normals: np.ndarray, size: int) -> np.ndarray:
+    """Unit normals for `size` trials, as rows h re, h im, w re, w im.
 
-    The known unit-power pilot sequence makes the pilot average the
-    sufficient statistic: z = sqrt(rho_p) h + w with w ~ CN(0, sigma_b2/n_p),
-    and the MMSE estimate is a fixed scalar multiple of z.
+    One call fills a (4, size) view of `normals` with the draws that four
+    calls of `size` each would make, in that order.
     """
-    lam = cfg.lambda_ab
-    h = _complex_normal(rng, lam, size)
-    w = _complex_normal(rng, cfg.sigma_b2 / alloc.n_p, size)
-    z = math.sqrt(alloc.rho_p) * h + w
-    gain = math.sqrt(alloc.rho_p) * lam * alloc.n_p / (
-        lam * alloc.n_p * alloc.rho_p + cfg.sigma_b2
-    )
-    return h, gain * z
-
-
-def _bob_terms(h_hat: np.ndarray, err: np.ndarray) -> Iterator[np.ndarray]:
-    """Per-trial moments of the estimate and its error, one at a time.
-
-    With hh = |h_hat|^2, ee = |h - h_hat|^2 and c = h_hat conj(h - h_hat):
-    hh, hh^2, ee, ee^2, hh ee, Re c, (Re c)^2, Im c and (Im c)^2.
-    """
-    import numpy as np
-
-    hh = np.abs(h_hat) ** 2
-    ee = np.abs(err) ** 2
-    yield hh
-    yield hh * hh
-    yield ee
-    yield ee * ee
-    yield hh * ee
-    cross = h_hat * np.conj(err)
-    yield cross.real
-    yield cross.real**2
-    yield cross.imag
-    yield cross.imag**2
+    rows = normals[: 4 * size].reshape(4, size)
+    rng.standard_normal(out=rows)
+    return rows
 
 
 def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> BobResult:
     """Empirical post-estimation SINR at Bob and the MMSE diagnostics.
 
-    Per trial, draws the fading coefficient, forms the MMSE estimate from
-    the pilot phase, and weighs the data-phase signal power
-    s = rho_d |h_hat|^2 against the interference-plus-noise power
-    i = rho_d |h - h_hat|^2 + sigma_b2.  One pass sums the nine
-    _bob_terms; the sums of s, i and their products are exact
-    combinations of those, and the SINR is their ratio of means with a
+    From unit normals a (of h) and c (of w) per real component, the
+    estimate is h_hat = g sqrt(rho_p) s_h a + g s_w c and its error
+    h - h_hat = kappa s_h a - g s_w c, where s_h and s_w scale the normals
+    to h and w, and kappa = 1 - g sqrt(rho_p) is formed as a ratio, so
+    the error keeps its digits at any pilot SNR.  The SINR is the ratio
+    of the means of s = rho_d |h_hat|^2 and i = rho_d |h - h_hat|^2 + sigma_b2,
+    whose sums are exact combinations of the nine below, with a
     delta-method standard error.  The same sums give the variances of
     the estimate and its error, and the correlation of h_hat with
-    h - h_hat, which is zero for an MMSE split; both its components are
-    reported with standard errors for that check, and are NaN where the
-    variances underflow so far that no correlation can be formed.
+    h - h_hat (zero for an MMSE split) with standard errors, NaN where
+    the variances' product underflows.
     """
     import numpy as np
 
     _check_alloc(cfg, alloc)
+    lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
+    s_h, s_w = math.sqrt(lam / 2.0), math.sqrt(sb2 / (2.0 * n_p))
+    gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
+    kappa = sb2 / (lam * n_p * rho_p + sb2)
+    hat_a, hat_c, err_a = gain * math.sqrt(rho_p) * s_h, gain * s_w, kappa * s_h
+    normals, work = np.empty(4 * CHUNK_TRIALS), np.empty((2, CHUNK_TRIALS))
+    # with hh = |h_hat|^2, ee = |h - h_hat|^2 and x = h_hat conj(h - h_hat):
+    # hh, hh^2, ee, ee^2, hh ee, Re x, (Re x)^2, Im x, (Im x)^2
     sums = [0.0] * 9
+
+    def add(k: int, row: np.ndarray) -> None:
+        sums[k] += float(np.sum(row))
+
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
-        h, h_hat = _draw_bob_trial(rng, cfg, alloc, size)
-        # each term is summed and dropped before the next is built
-        sums = [total + float(np.sum(term))
-                for total, term in zip(sums, _bob_terms(h_hat, h - h_hat))]
+        a, b, c, d = _draw_bob_trial(rng, normals, size)
+        hat_re, spare = work[:, :size]
+        # per component, the estimate into hat_re then c, the error over a then b
+        for h_row, w_row, hat in ((a, c, hat_re), (b, d, c)):
+            np.multiply(w_row, hat_c, out=w_row)
+            np.multiply(h_row, hat_a, out=hat)
+            np.add(hat, w_row, out=hat)
+            np.multiply(h_row, err_a, out=h_row)
+            np.subtract(h_row, w_row, out=h_row)
+        hat_im, err_re, err_im = c, a, b
+        # Re x = hat_re err_re + hat_im err_im, then Im x = hat_im err_re - hat_re err_im
+        np.multiply(hat_re, err_re, out=d)
+        np.multiply(hat_im, err_im, out=spare)
+        add(5, np.add(d, spare, out=d))
+        add(6, np.multiply(d, d, out=d))
+        np.multiply(hat_im, err_re, out=d)
+        np.multiply(hat_re, err_im, out=spare)
+        add(7, np.subtract(d, spare, out=d))
+        add(8, np.multiply(d, d, out=d))
+        # hh over hat_re and ee over err_re, each squared in place
+        for row in (hat_re, hat_im, err_re, err_im):
+            np.multiply(row, row, out=row)
+        hh = np.add(hat_re, hat_im, out=hat_re)
+        ee = np.add(err_re, err_im, out=err_re)
+        add(0, hh)
+        add(2, ee)
+        add(4, np.multiply(hh, ee, out=d))
+        add(1, np.multiply(hh, hh, out=hh))
+        add(3, np.multiply(ee, ee, out=ee))
     sum_hh, sum_hh2, sum_ee, sum_ee2, sum_hhee, sum_cre, sum_cre2, sum_cim, sum_cim2 = sums
 
-    rho_d, sb2, trials = alloc.rho_d, cfg.sigma_b2, mc.trials
+    rho_d, trials = alloc.rho_d, mc.trials
     sum_s = rho_d * sum_hh
     sum_i = rho_d * sum_ee + sb2 * trials
     sum_ss = rho_d * rho_d * sum_hh2

@@ -517,14 +517,14 @@ GOLDEN = {
     ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
     ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
     ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
-    ("default", "verify"): "41024b7184b5380ef03c2beb32c4d67592311d24a867461ca8f9451dcc939f50",
+    ("default", "verify"): "709fedadc294af912c07979340d4aa2b3308cd1d532b62cac130a1ec5d4e2f9e",
     ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
     ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
     ("readme", "fig1"): "f11743aeb7b5e7a513f63c96eacf0915ab93f95fd1e0d49f3e86a98ba7ab784c",
     ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
     ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
     ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
-    ("readme", "verify"): "a5b4a882c0796bdd85c39067cf1d95df0f617bdcf8dcdad78aaa3d87289beb35",
+    ("readme", "verify"): "53e66b01d41748429a3e4ffcd77060d650c7abeafd97ad885ef04d4b25b6d532",
 }
 
 
@@ -689,13 +689,18 @@ class TestVerifyCommand:
             assert float(row["simulated"]) == 0.0
             assert float(row["std_err"]) == 1.0 / 2000
 
-    @pytest.mark.parametrize("lambda_ab", ["1e200", "1e-120"], ids=["overflow", "underflow"])
-    def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, lambda_ab):
-        # at 1e200 the moment sums overflow and the standard errors are NaN;
-        # at 1e-120 the variances' product underflows to 0, so no
-        # correlation can be formed, and verify still writes every row
+    @pytest.mark.parametrize(
+        "system",
+        ["lambda_ab = 1e200\nsigma_b2 = 1e200", "lambda_ab = 1e-120"],
+        ids=["overflow", "underflow"],
+    )
+    def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, system):
+        # with lambda_ab and sigma_b2 at 1e200 the moment sums overflow and
+        # the standard errors are NaN; at lambda_ab = 1e-120 the variances'
+        # product underflows to 0, so no correlation can be formed, and
+        # verify still writes every row
         config = tmp_path / "run.ini"
-        config.write_text(f"[system]\nlambda_ab = {lambda_ab}\n[verify]\ntrials = 2000\n")
+        config.write_text(f"[system]\n{system}\n[verify]\ntrials = 2000\n")
         out = tmp_path / "verify.csv"
         assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
         header, rows = read_csv(out)
@@ -704,6 +709,18 @@ class TestVerifyCommand:
         for check in ("bob_orthogonality_re", "bob_orthogonality_im"):
             row = dict(zip(header, named[check]))
             assert (row["std_err"], row["passed"]) == ("nan", "0"), check
+
+    @pytest.mark.parametrize("lambda_ab", ["1e60", "1e150"])
+    def test_bob_rows_pass_at_a_huge_pilot_snr(self, tmp_path, lambda_ab):
+        # the estimation error is formed without subtracting two numbers
+        # of size sqrt(lambda_ab), so it keeps its digits here
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\nlambda_ab = {lambda_ab}\n[verify]\ntrials = 20000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert len(rows) == 7
+        assert column(header, rows, "passed", int) == [1] * 7
 
     def test_low_snr_bob_sinr_keeps_its_own_std_err(self, tmp_path, monkeypatch):
         # Bob's SINR here is ~5e-20 and its standard error far below one

@@ -18,6 +18,7 @@ from covertpilot.monte_carlo import (
     CHUNK_TRIALS,
     LikelihoodRatioTest,
     McConfig,
+    McEstimate,
     Radiometer,
     TrialBudgetError,
     simulate_bob,
@@ -46,6 +47,56 @@ def mmse_split(cfg, alloc):
     pilot_energy = alloc.n_p * alloc.rho_p
     denom = lam * pilot_energy + cfg.sigma_b2
     return lam * lam * pilot_energy / denom, lam * cfg.sigma_b2 / denom
+
+
+def bob_normals(seed, chunk, size):
+    """Oracle: the unit normals of h re, h im, w re and w im for one Bob chunk."""
+    rng = monte_carlo._stream(seed, 2, chunk)
+    return [rng.standard_normal(size) for _ in range(4)]
+
+
+def bob_rows(cfg, alloc, seed, chunk, size):
+    """Oracle: (h_hat re, h_hat im, err re, err im) of one Bob chunk, in real form.
+
+    h_hat = g sqrt(rho_p) s_h a + g s_w c and h - h_hat = kappa s_h a - g s_w c
+    per component, from the normals a, b of h and c, d of w, with
+    kappa = 1 - g sqrt(rho_p) as a ratio.
+    """
+    lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
+    s_h = math.sqrt(lam / 2.0)
+    s_w = math.sqrt(sb2 / (2.0 * n_p))
+    gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
+    kappa = sb2 / (lam * n_p * rho_p + sb2)
+    hat_a, hat_c, err_a = gain * math.sqrt(rho_p) * s_h, gain * s_w, kappa * s_h
+    a, b, c, d = bob_normals(seed, chunk, size)
+    return (hat_a * a + hat_c * c, hat_a * b + hat_c * d,
+            err_a * a - hat_c * c, err_a * b - hat_c * d)
+
+
+def textbook_bob(cfg, alloc, mc):
+    """Oracle: Bob's five estimates from complex h, w and h_hat, as a textbook forms them."""
+    lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
+    s_h, s_w = math.sqrt(lam / 2.0), math.sqrt(sb2 / (2.0 * n_p))
+    gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
+    chunks = [bob_normals(mc.seed, chunk, size) for chunk, size in monte_carlo._chunks(mc.trials)]
+    a, b, c, d = (np.concatenate(rows) for rows in zip(*chunks))
+    h = s_h * a + 1j * s_h * b
+    h_hat = gain * (math.sqrt(rho_p) * h + (s_w * c + 1j * s_w * d))
+    hh, ee = np.abs(h_hat) ** 2, np.abs(h - h_hat) ** 2
+    cross = h_hat * np.conj(h - h_hat)
+    t = mc.trials
+    signal = alloc.rho_d * hh
+    interference = alloc.rho_d * ee + sb2
+    ratio = signal.mean() / interference.mean()
+    sinr_err = np.sqrt(np.mean((signal - ratio * interference) ** 2) / t) / interference.mean()
+    norm = math.sqrt(hh.mean() * ee.mean())
+    return [
+        McEstimate(ratio, sinr_err, t),
+        McEstimate(hh.mean(), hh.std() / math.sqrt(t), t),
+        McEstimate(ee.mean(), ee.std() / math.sqrt(t), t),
+        McEstimate(cross.real.mean() / norm, cross.real.std() / math.sqrt(t) / norm, t),
+        McEstimate(cross.imag.mean() / norm, cross.imag.std() / math.sqrt(t) / norm, t),
+    ]
 
 
 class TestMcConfig:
@@ -428,13 +479,13 @@ class TestBobSimulation:
         mc = McConfig(trials=40_000, seed=59)
         sums = [0.0] * 9
         for chunk, size in monte_carlo._chunks(mc.trials):
-            rng = monte_carlo._stream(mc.seed, 2, chunk)
-            h, h_hat = monte_carlo._draw_bob_trial(rng, cfg, alloc, size)
-            hh = np.abs(h_hat) ** 2
-            ee = np.abs(h - h_hat) ** 2
-            cross = h_hat * np.conj(h - h_hat)
-            terms = (hh, hh * hh, ee, ee * ee, hh * ee, cross.real, cross.real**2,
-                     cross.imag, cross.imag**2)
+            hat_re, hat_im, err_re, err_im = bob_rows(cfg, alloc, mc.seed, chunk, size)
+            hh = hat_re * hat_re + hat_im * hat_im
+            ee = err_re * err_re + err_im * err_im
+            cross_re = hat_re * err_re + hat_im * err_im
+            cross_im = hat_im * err_re - hat_re * err_im
+            terms = (hh, hh * hh, ee, ee * ee, hh * ee, cross_re, cross_re * cross_re,
+                     cross_im, cross_im * cross_im)
             for k, term in enumerate(terms):
                 sums[k] += float(np.sum(term))
         t = mc.trials
@@ -478,10 +529,9 @@ class TestBobSimulation:
             alloc = PowerAllocation.equal_power(n=n, rho=rho, n_p=n_p)
             sums = [0.0] * 5
             for chunk, size in monte_carlo._chunks(mc.trials):
-                rng = monte_carlo._stream(mc.seed, 2, chunk)
-                h, h_hat = monte_carlo._draw_bob_trial(rng, cfg, alloc, size)
-                s = alloc.rho_d * np.abs(h_hat) ** 2
-                i = alloc.rho_d * np.abs(h - h_hat) ** 2 + sigma_b2
+                hat_re, hat_im, err_re, err_im = bob_rows(cfg, alloc, mc.seed, chunk, size)
+                s = alloc.rho_d * (hat_re**2 + hat_im**2)
+                i = alloc.rho_d * (err_re**2 + err_im**2) + sigma_b2
                 for k, term in enumerate((s, i, s * s, i * i, s * i)):
                     sums[k] += float(np.sum(term))
             sum_s, sum_i, sum_ss, sum_ii, sum_si = sums
@@ -493,6 +543,56 @@ class TestBobSimulation:
             case = (n, sigma_b2, rho, n_p, lam)
             assert estimate.value == pytest.approx(ratio, rel=1e-14, abs=0), case
             assert estimate.std_err == pytest.approx(std_err, rel=1e-14, abs=0), case
+
+    def test_matches_the_textbook_complex_form(self):
+        # h, w and h_hat = g (sqrt(rho_p) h + w) rebuilt as complex arrays
+        # from the same four normals; that form loses digits of h - h_hat
+        # as the pilot SNR grows, so the check stops at a pilot SNR of 1e6
+        mc = McConfig(trials=20_000, seed=67)
+        for lam, sigma_b2, rho, n_p in itertools.product(
+            (1e-3, 1.0, 1e3), (1e-3, 1.0, 1e3), (1e-3, 0.1, 10.0), (1, 10)
+        ):
+            cfg = SystemConfig(n=100, lambda_ab=lam, sigma_b2=sigma_b2, sigma_w2=1.0, epsilon=0.1)
+            alloc = PowerAllocation.equal_power(n=100, rho=rho, n_p=n_p)
+            if lam * n_p * alloc.rho_p / sigma_b2 > 1e6:
+                continue
+            expected = textbook_bob(cfg, alloc, mc)
+            result = simulate_bob(cfg, alloc, mc)
+            case = (lam, sigma_b2, rho, n_p)
+            for got, want in zip(result, expected):
+                assert got.std_err == pytest.approx(want.std_err, rel=1e-12, abs=0), case
+            for got, want in zip(result[:3], expected[:3]):
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=0), case
+            # a correlation near 0 is compared on its own scale, 1
+            for got, want in zip(result[3:], expected[3:]):
+                assert got.value == pytest.approx(want.value, rel=0, abs=1e-12), case
+
+    def test_correlations_do_not_depend_on_a_huge_pilot_snr(self):
+        # h_hat grows as sqrt(lambda) while the error stays O(1), so once the
+        # pilot SNR is this high the correlations no longer move with lambda
+        alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
+        mc = McConfig(trials=20_000, seed=71)
+        results = [
+            simulate_bob(SystemConfig(n=100, lambda_ab=lam, sigma_b2=1.0, sigma_w2=1.0,
+                                      epsilon=0.1), alloc, mc)
+            for lam in (1e30, 1e60, 1e150)
+        ]
+        for result in results:
+            assert abs(result.orth_corr_re.value) <= 4.0 * result.orth_corr_re.std_err
+            assert abs(result.orth_corr_im.value) <= 4.0 * result.orth_corr_im.std_err
+        for result in results[1:]:
+            for got, want in ((result.orth_corr_re, results[0].orth_corr_re),
+                              (result.orth_corr_im, results[0].orth_corr_im)):
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+                assert got.std_err == pytest.approx(want.std_err, rel=1e-12, abs=0)
+
+    def test_one_draw_fills_the_four_rows(self):
+        # one (4, size) standard_normal call gives the draws of four calls of size
+        for size in (1000, CHUNK_TRIALS):
+            normals = np.empty(4 * CHUNK_TRIALS)
+            rows = monte_carlo._draw_bob_trial(monte_carlo._stream(5, 2, 0), normals, size)
+            assert rows.shape == (4, size)
+            assert np.array_equal(rows, bob_normals(5, 0, size))
 
     def test_allocation_for_another_n_is_refused(self):
         cfg = make_cfg(n=100)
