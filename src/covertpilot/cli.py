@@ -261,7 +261,7 @@ def resolve_run_config(args, command: str) -> Dict[str, object]:
             raise ConfigError(f"--{flag}: '{command}' runs no Monte Carlo trials")
         resolved[flag] = value
     # McConfig's range, checked for every command; fig1 hands the seed to
-    # SeedSequence, which takes any nonnegative integer, to key its rows
+    # SeedSequence, which takes any nonnegative integer, to key its passes
     if not 0 <= resolved["seed"] < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {resolved['seed']}")
     return resolved
@@ -372,21 +372,27 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
     rho = resolved["rho"]
     if not rho >= 0:
         raise ConfigError(f"config key 'rho': must be nonnegative, got {rho}")
-    rows = []
+    # every allocation is built, and so checked, before the first pass
+    sweeps = []
     for n_p in resolved["np_values"]:
         _check_pilot_count("np_values", n_p, cfg)
-        for eta in resolved["eta_grid"]:
-            alloc = _for_key(
-                "eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p
-            )
-            # row i draws from a seed keyed by (seed, i), as the chunks are
-            # keyed, so rows of neighbouring seeds share no stream
-            row_seed = SeedSequence(resolved["seed"], spawn_key=(len(rows),))
-            seed = int(row_seed.generate_state(1, "uint64")[0])
-            mc = McConfig(trials=resolved["trials"], seed=seed)
-            rates = simulate_willie(simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),)))
+        sweeps.append(tuple(
+            _for_key("eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p)
+            for eta in resolved["eta_grid"]
+        ))
+    rows = []
+    for index, allocs in enumerate(sweeps):
+        # one pass per pilot count, on a seed keyed by (seed, index) as the
+        # chunks are keyed, so passes of neighbouring seeds share no stream;
+        # its rows share the draws, so differences across eta are precise
+        pass_seed = SeedSequence(resolved["seed"], spawn_key=(index,))
+        seed = int(pass_seed.generate_state(1, "uint64")[0])
+        mc = McConfig(trials=resolved["trials"], seed=seed)
+        wardens = simulate_warden(cfg, allocs, mc, (LikelihoodRatioTest(),))
+        for eta, alloc, warden in zip(resolved["eta_grid"], allocs, wardens):
+            rates = simulate_willie(warden)
             bound = covertness_lower_bound(kl_divergence(cfg, alloc))
-            rows.append([eta, n_p, rates.xi.value, rates.xi.std_err, bound])
+            rows.append([eta, alloc.n_p, rates.xi.value, rates.xi.std_err, bound])
     return rows, EXIT_OK
 
 
@@ -454,7 +460,7 @@ def cmd_verify(resolved: Dict[str, object], digest: str):
     analytic = _for_key("rho", min_detection_error, cfg, rho)
     radiometer = Radiometer(threshold=analytic.tau_star)
     # one pass over each stream; the warden pass evaluates both detectors
-    warden = simulate_warden(cfg, alloc, mc, (radiometer, LikelihoodRatioTest()))
+    (warden,) = simulate_warden(cfg, (alloc,), mc, (radiometer, LikelihoodRatioTest()))
     bob = simulate_bob(cfg, alloc, mc)
     rates = simulate_willie(warden)
     disagreements = count_detector_disagreements(warden)

@@ -4,11 +4,14 @@ The warden's detectors (energy detector and likelihood ratio test) are
 functions of the received energy in the pilot and data segments, and the
 sum of k iid squared magnitudes of CN(0, v) samples is Gamma(k, v), so
 the hot path draws segment energies directly.  One draw per trial
-serves both hypotheses: each H1 segment energy is its H0 energy scaled
-by 1 + rho_seg / sigma_w2, and at equal power, where both detectors
-read only the total energy, that draw is a single Gamma(n) total.
-One pass over the warden stream evaluates every detector a call names,
-and feeds both the error rates and the detector disagreement count.
+serves both hypotheses and every power split of one pilot count: the
+H0 energies hold no power, each H1 segment energy is its H0 energy
+scaled by 1 + rho_seg / sigma_w2, and when every split is at equal
+power, where both detectors read only the total energy, that draw is a
+single Gamma(n) total.  One pass over the warden stream evaluates every
+allocation and detector a call names, on buffers allocated once per
+pass, and feeds both the error rates and the detector disagreement
+count.
 Bob's MMSE estimate depends on the pilot observations only through
 their average, whose noise term is CN(0, sigma_b2 / n_p), so that
 average is drawn directly as well, in one pass of real arithmetic that
@@ -26,6 +29,9 @@ domain, chunk) share a state; as one flat entropy list they can (seed
 exact integers, and Bob's moments by numpy's pairwise sum in chunk
 order (no BLAS call, whose order varies with the build and thread
 count), so estimates are bit-identical for a given (seed, config).
+An allocation's warden estimates do not depend on the others in its
+pass, except that a pass with an unequal-power allocation draws the two
+segments rather than the total.
 
 numpy is imported by the functions that draw, not by the module, so the
 closed-form commands never load it.
@@ -42,8 +48,8 @@ from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
 if TYPE_CHECKING:
     import numpy as np
 
-    # (pilot, data) energies; at equal power the pilot energy carries the
-    # total and the data energy is 0.0
+    # (pilot, data) energies; in a pass of equal-power allocations only,
+    # the pilot energy carries the total and the data energy is 0.0
     _Energies = Tuple[np.ndarray, Union[np.ndarray, float]]
 
 CHUNK_TRIALS = 1 << 14
@@ -148,10 +154,21 @@ def _decides_h1(
     alloc: PowerAllocation,
     pilot_energy: np.ndarray,
     data_energy: Union[np.ndarray, float],
+    work: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
+    """Whether each trial decides H1, written into the bool row `out`; `work` is scratch."""
+    import numpy as np
+
+    stat, spare = work
     sw2 = cfg.sigma_w2
+    # an equal-power total comes with a data energy of 0.0, whose addition
+    # would change no decision, so it is skipped
+    has_data = not isinstance(data_energy, float)
     if isinstance(detector, Radiometer):
-        return (pilot_energy + data_energy) / cfg.n > detector.threshold
+        if has_data:
+            pilot_energy = np.add(pilot_energy, data_energy, out=stat)
+        return np.greater(np.divide(pilot_energy, cfg.n, out=stat), detector.threshold, out=out)
     if isinstance(detector, LikelihoodRatioTest):
         # 1/sw2 - 1/(rho + sw2) without its cancellation at low SNR
         w_p = alloc.rho_p / (sw2 * (alloc.rho_p + sw2))
@@ -160,81 +177,131 @@ def _decides_h1(
             alloc.n_p * math.log1p(alloc.rho_p / sw2)
             + alloc.n_d * math.log1p(alloc.rho_d / sw2)
         )
-        return w_p * pilot_energy + w_d * data_energy > threshold
+        np.multiply(pilot_energy, w_p, out=stat)
+        if has_data:
+            np.add(stat, np.multiply(data_energy, w_d, out=spare), out=stat)
+        return np.greater(stat, threshold, out=out)
     raise TypeError(f"unknown detector type: {detector!r}")
 
 
 def _draw_segment_energies(
     rng: np.random.Generator,
     cfg: SystemConfig,
-    alloc: PowerAllocation,
+    allocs: Tuple[PowerAllocation, ...],
+    energies: np.ndarray,
     size: int,
-) -> Tuple[_Energies, _Energies]:
-    """(pilot, data) segment energies for `size` trials under H0 and under H1.
+) -> _Energies:
+    """H0 (pilot, data) segment energies for `size` trials of every allocation in `allocs`.
 
-    One set of unit energies per trial serves both hypotheses (common
-    random numbers): G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d), drawn in that
-    order, give the H0 energies sigma_w2 (G_p, G_d), and each H1 energy
-    is its H0 energy times 1 + rho_seg / sigma_w2.  At equal power the
-    detectors read only the total, so one Gamma(n) draw gives the H0
-    total, carried as the pilot energy next to a zero data energy.  Every
-    consumer of a chunk stream sees identical samples.
+    The unit energies G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d), drawn in that
+    order into the first `size` columns of the two rows of `energies`,
+    give the H0 energies sigma_w2 (G_p, G_d); no power enters them, so
+    one draw serves every allocation of a shared n_p, and _h1_energies
+    scales it to each allocation's H1 energies.  When every allocation is
+    at equal power the detectors read only the total, so one Gamma(n)
+    draw gives the H0 total, carried as the pilot energy next to a zero
+    data energy.
     """
+    import numpy as np
+
     sw2 = cfg.sigma_w2
-    if alloc.is_equal_power():
-        total_h0 = sw2 * rng.standard_gamma(cfg.n, size)
-        return (total_h0, 0.0), ((1.0 + alloc.rho_p / sw2) * total_h0, 0.0)
-    pilot_h0 = sw2 * rng.standard_gamma(alloc.n_p, size)
-    data_h0 = sw2 * rng.standard_gamma(alloc.n_d, size)
-    return (pilot_h0, data_h0), (
-        (1.0 + alloc.rho_p / sw2) * pilot_h0,
-        (1.0 + alloc.rho_d / sw2) * data_h0,
-    )
+    pilot, data = energies[:, :size]
+    if all(alloc.is_equal_power() for alloc in allocs):
+        rng.standard_gamma(cfg.n, out=pilot)
+        return np.multiply(pilot, sw2, out=pilot), 0.0
+    rng.standard_gamma(allocs[0].n_p, out=pilot)
+    rng.standard_gamma(allocs[0].n_d, out=data)
+    return np.multiply(pilot, sw2, out=pilot), np.multiply(data, sw2, out=data)
+
+
+def _h1_energies(
+    cfg: SystemConfig,
+    alloc: PowerAllocation,
+    h0: _Energies,
+    out: np.ndarray,
+) -> _Energies:
+    """One allocation's H1 energies, written into the two rows of `out`.
+
+    Each H1 segment energy is its H0 energy times 1 + rho_seg / sigma_w2:
+    H1 and H0 share the draw (common random numbers), so every consumer
+    of a chunk stream sees identical samples under both hypotheses.
+    """
+    import numpy as np
+
+    sw2 = cfg.sigma_w2
+    pilot, data = h0
+    pilot_h1 = np.multiply(pilot, 1.0 + alloc.rho_p / sw2, out=out[0])
+    if isinstance(data, float):  # an equal-power total
+        return pilot_h1, data
+    return pilot_h1, np.multiply(data, 1.0 + alloc.rho_d / sw2, out=out[1])
 
 
 def simulate_warden(
     cfg: SystemConfig,
-    alloc: PowerAllocation,
+    allocs: Tuple[PowerAllocation, ...],
     mc: McConfig,
     detectors: Tuple[Detector, ...],
-) -> WardenResult:
-    """Empirical error rates of each detector, and the disagreements of the first two.
+) -> Tuple[WardenResult, ...]:
+    """Per allocation, the error rates of each detector and the disagreements of the first two.
 
     One pass over the warden substreams runs mc.trials slots under each
-    hypothesis and applies every detector to the same samples, so the
-    disagreement count comes from exactly the samples that produced the
-    rates.  Per detector, xi = alpha + beta.  The two hypotheses share
-    one draw per trial, whose H1 segment energies are never below its H0
-    ones, and both detectors weigh the energies with nonnegative weights,
-    so a false alarm and a miss never fall on one trial: xi is a binomial
-    proportion at any power split.
+    hypothesis.  Each chunk is drawn once for all the allocations, which
+    must share n and n_p, and every allocation applies every detector to
+    the same samples, so the disagreement count comes from exactly the
+    samples that produced the rates, and the estimates of two allocations
+    are positively correlated (common random numbers), which makes their
+    differences precise.  Per detector, xi = alpha + beta.  The two
+    hypotheses share one draw per trial, whose H1 segment energies are
+    never below its H0 ones, and both detectors weigh the energies with
+    nonnegative weights, so a false alarm and a miss never fall on one
+    trial: xi is a binomial proportion at any power split.
     """
     import numpy as np
 
-    _check_alloc(cfg, alloc)
-    errors = [[0, 0] for _ in detectors]  # (false alarms, misses)
-    disagreements = 0
+    if not allocs:
+        raise ValueError("at least one allocation is required")
+    for alloc in allocs:
+        _check_alloc(cfg, alloc)
+        if alloc.n_p != allocs[0].n_p:
+            raise ValueError(
+                f"allocations must share n_p, got {allocs[0].n_p} and {alloc.n_p}"
+            )
+    # per allocation and detector: (false alarms, misses)
+    errors = [[[0, 0] for _ in detectors] for _ in allocs]
+    disagreements = [0] * len(allocs)
+    # H0 then H1 (pilot, data) energies, two work rows and one decision row per detector
+    energies, work = np.empty((4, CHUNK_TRIALS)), np.empty((2, CHUNK_TRIALS))
+    decided = np.empty((len(detectors), CHUNK_TRIALS), dtype=bool)
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        for hypothesis, energies in enumerate(
-            _draw_segment_energies(rng, cfg, alloc, size)
-        ):
-            decisions = [_decides_h1(d, cfg, alloc, *energies) for d in detectors]
-            for counts, decides in zip(errors, decisions):
-                h1_decisions = int(np.count_nonzero(decides))
-                # an error decides H1 under H0, or H0 under H1
-                counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
-            if len(decisions) > 1:
-                disagreements += int(np.count_nonzero(decisions[0] != decisions[1]))
-    rates = tuple(
-        WillieErrorRates(
-            alpha=_prob_estimate(false_alarms, mc.trials),
-            beta=_prob_estimate(missed, mc.trials),
-            xi=_prob_estimate(false_alarms + missed, mc.trials),
+        h0 = _draw_segment_energies(rng, cfg, allocs, energies[:2], size)
+        for index, alloc in enumerate(allocs):
+            h1 = _h1_energies(cfg, alloc, h0, energies[2:, :size])
+            for hypothesis, segments in enumerate((h0, h1)):
+                decisions = [
+                    _decides_h1(d, cfg, alloc, *segments, work[:, :size], row[:size])
+                    for d, row in zip(detectors, decided)
+                ]
+                for counts, decides in zip(errors[index], decisions):
+                    h1_decisions = int(np.count_nonzero(decides))
+                    # an error decides H1 under H0, or H0 under H1
+                    counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
+                if len(decisions) > 1:
+                    disagreements[index] += int(np.count_nonzero(decisions[0] != decisions[1]))
+    return tuple(
+        WardenResult(
+            rates=tuple(
+                WillieErrorRates(
+                    alpha=_prob_estimate(false_alarms, mc.trials),
+                    beta=_prob_estimate(missed, mc.trials),
+                    xi=_prob_estimate(false_alarms + missed, mc.trials),
+                )
+                for false_alarms, missed in alloc_errors
+            ),
+            disagreements=alloc_disagreements,
         )
-        for false_alarms, missed in errors
+        for alloc_errors, alloc_disagreements in zip(errors, disagreements)
     )
-    return WardenResult(rates=rates, disagreements=disagreements)
 
 
 def _draw_bob_trial(rng: np.random.Generator, normals: np.ndarray, size: int) -> np.ndarray:

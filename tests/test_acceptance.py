@@ -51,16 +51,16 @@ def test_criterion_1_equal_power_maximizes_warden_error():
         cfg = make_cfg(n=100)
         rho = 0.05
         etas = [round(0.05 * k, 2) for k in range(1, 20)]
-        for n_p in (20, 50):
+        for j, n_p in enumerate((20, 50)):
             eta_equal = (cfg.n - n_p) / cfg.n
-            xi_mc = []
-            bound = []
-            for i, eta in enumerate(etas):
-                alloc = PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p)
-                mc = McConfig(trials=100_000, seed=1000 + i)
-                warden = simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),))
-                xi_mc.append(warden.rates[0].xi.value)
-                bound.append(covertness_lower_bound(kl_divergence(cfg, alloc)))
+            allocs = tuple(
+                PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p) for eta in etas
+            )
+            # one shared pass per pilot count, as fig1 makes
+            mc = McConfig(trials=100_000, seed=1000 + j)
+            wardens = simulate_warden(cfg, allocs, mc, (LikelihoodRatioTest(),))
+            xi_mc = [warden.rates[0].xi.value for warden in wardens]
+            bound = [covertness_lower_bound(kl_divergence(cfg, alloc)) for alloc in allocs]
             mc_peak = etas[int(np.argmax(xi_mc))]
             bound_peak = etas[int(np.argmax(bound))]
             assert bound_peak == pytest.approx(eta_equal, abs=1e-12)
@@ -121,7 +121,7 @@ def test_criterion_3_closed_form_error_probability_matches_simulation():
             analytic = min_detection_error(cfg, rho)
             mc = McConfig(trials=1_000_000, seed=3000 + i)
             radiometer = Radiometer(threshold=analytic.tau_star)
-            warden = simulate_warden(cfg, alloc, mc, (radiometer, LikelihoodRatioTest()))
+            (warden,) = simulate_warden(cfg, (alloc,), mc, (radiometer, LikelihoodRatioTest()))
             rates = warden.rates[0]
             # rule-of-three floor: a zero-error count has zero binomial
             # standard error but is still consistent with xi_star up to ~3/T

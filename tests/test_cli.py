@@ -513,14 +513,14 @@ class TestDesignCommand:
 GOLDEN = {
     ("default", "design"): "26f1079e0d1c38de30b7319cdb97706a691918729cc050d3f264be377a490288",
     ("default", "design stdout"): "693b5305895d900c1fba5983255e5abb9727d993f2e2d976359cbe43debde6cc",
-    ("default", "fig1"): "18b42e9b5ac56f270561b2e929b14e1ec03921ae95bc656df3fad5877e13b3e8",
+    ("default", "fig1"): "643077e5d3809f5f1d1b6f7600486a11f3f82932ffd5a2226e6def04d5fdba5e",
     ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
     ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
     ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
     ("default", "verify"): "709fedadc294af912c07979340d4aa2b3308cd1d532b62cac130a1ec5d4e2f9e",
     ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
     ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
-    ("readme", "fig1"): "f11743aeb7b5e7a513f63c96eacf0915ab93f95fd1e0d49f3e86a98ba7ab784c",
+    ("readme", "fig1"): "9f389df5bfababdfdd1e11568b0188e37f3f026c6ef1bd0e02af42a9d6993fb3",
     ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
     ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
     ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
@@ -582,9 +582,10 @@ class TestFigureCommands:
             assert bound <= xi + 3.0 * se
 
     def test_fig1_rows_of_neighbouring_seeds_share_no_stream(self, tmp_path):
-        # two equal rows, so row 1 at seed 5 and row 0 at seed 6 differ only by their streams
+        # one pass per pilot count, and here one row per pass: two equal
+        # passes, so pass 1 at seed 5 and pass 0 at seed 6 differ only by their streams
         config = tmp_path / "run.ini"
-        config.write_text("[fig1]\nnp_values = 20\neta_grid = 0.5, 0.5\ntrials = 2000\n")
+        config.write_text("[fig1]\nnp_values = 20, 20\neta_grid = 0.5\ntrials = 2000\n")
         outputs = {}
         for seed, run in ((5, "a"), (6, "a"), (5, "b")):
             out = tmp_path / f"fig1-{seed}-{run}.csv"
@@ -598,6 +599,21 @@ class TestFigureCommands:
         xi_6 = column(header, rows_6, "xi_lrt")
         assert xi_5[0] != xi_5[1]
         assert xi_5[1] != xi_6[0]
+
+    def test_fig1_checks_every_allocation_before_the_first_pass(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "simulate_warden", lambda *args: calls.append(args))
+        config = tmp_path / "run.ini"
+        config.write_text("[fig1]\nnp_values = 20, 0\n")
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "config error: config key 'np_values': must lie in [1, n-1], got 0\n"
+        )
+        assert not out.exists()
 
     def test_fig2_marker_is_column_argmax(self, tmp_path):
         config = tmp_path / "run.ini"

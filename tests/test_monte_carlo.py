@@ -33,7 +33,8 @@ def make_cfg(n=100, sw2=1.0):
 
 
 def simulate_willie(cfg, alloc, mc, detector):
-    return simulate_warden(cfg, alloc, mc, (detector,)).rates[0]
+    (warden,) = simulate_warden(cfg, (alloc,), mc, (detector,))
+    return warden.rates[0]
 
 
 def mmse_split(cfg, alloc):
@@ -71,6 +72,25 @@ def bob_rows(cfg, alloc, seed, chunk, size):
     a, b, c, d = bob_normals(seed, chunk, size)
     return (hat_a * a + hat_c * c, hat_a * b + hat_c * d,
             err_a * a - hat_c * c, err_a * b - hat_c * d)
+
+
+def warden_h0(seed, chunk, cfg, allocs, size):
+    """The H0 energies of one warden chunk, drawn by the pass's helper into a fresh buffer."""
+    rng = monte_carlo._stream(seed, 1, chunk)
+    energies = np.empty((2, CHUNK_TRIALS))
+    return monte_carlo._draw_segment_energies(rng, cfg, allocs, energies, size)
+
+
+def h1_energies(cfg, alloc, h0):
+    """One allocation's H1 energies, scaled by the pass's helper into a fresh buffer."""
+    return monte_carlo._h1_energies(cfg, alloc, h0, np.empty((2, len(h0[0]))))
+
+
+def decides_h1(detector, cfg, alloc, energies):
+    """One detector's decisions, made by the pass's helper into fresh buffers."""
+    size = len(energies[0])
+    work, out = np.empty((2, size)), np.empty(size, dtype=bool)
+    return monte_carlo._decides_h1(detector, cfg, alloc, *energies, work, out)
 
 
 def textbook_bob(cfg, alloc, mc):
@@ -119,7 +139,9 @@ class TestDeterminism:
         alloc = PowerAllocation.equal_power(n=50, rho=0.2, n_p=10)
         mc = McConfig(trials=20_000, seed=99)
         det = Radiometer(threshold=optimal_threshold(0.2, 1.0))
-        assert simulate_warden(cfg, alloc, mc, (det,)) == simulate_warden(cfg, alloc, mc, (det,))
+        assert simulate_warden(cfg, (alloc,), mc, (det,)) == simulate_warden(
+            cfg, (alloc,), mc, (det,)
+        )
 
     def test_bob_estimates_bit_identical(self):
         cfg = make_cfg(n=50)
@@ -194,7 +216,8 @@ class TestWillieDetection:
         mc = McConfig(trials=100_000, seed=11)
         tau = optimal_threshold(rho, cfg.sigma_w2)
         detectors = (LikelihoodRatioTest(), Radiometer(threshold=tau))
-        assert simulate_warden(cfg, alloc, mc, detectors).disagreements == 0
+        (warden,) = simulate_warden(cfg, (alloc,), mc, detectors)
+        assert warden.disagreements == 0
 
     def test_radiometer_false_alarm_matches_chi_square_tail(self):
         cfg = make_cfg(n=60)
@@ -320,8 +343,8 @@ class TestCoupledWardenDraw:
     def test_equal_power_scales_one_total_per_trial(self):
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.equal_power(n=50, rho=0.3, n_p=10)
-        stream = monte_carlo._stream(5, 1, 0)
-        (p0, d0), (p1, d1) = monte_carlo._draw_segment_energies(stream, cfg, alloc, 1000)
+        p0, d0 = warden_h0(5, 0, cfg, (alloc,), 1000)
+        p1, d1 = h1_energies(cfg, alloc, (p0, d0))
         assert d0 == d1 == 0.0
         assert np.array_equal(p0, 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
         assert np.array_equal(p1, (1.0 + 0.3 / 2.0) * p0)
@@ -329,7 +352,8 @@ class TestCoupledWardenDraw:
     def test_unequal_power_scales_one_draw_per_segment(self):
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.split(n=50, rho=0.3, eta=0.5, n_p=10)
-        h0, h1 = monte_carlo._draw_segment_energies(monte_carlo._stream(5, 1, 0), cfg, alloc, 100)
+        h0 = warden_h0(5, 0, cfg, (alloc,), 100)
+        h1 = h1_energies(cfg, alloc, h0)
         rng = monte_carlo._stream(5, 1, 0)
         pilot = 2.0 * rng.standard_gamma(10, 100)
         data = 2.0 * rng.standard_gamma(40, 100)
@@ -340,6 +364,34 @@ class TestCoupledWardenDraw:
             (1.0 + alloc.rho_d / 2.0) * data,
         ]
         assert all(np.array_equal(a, b) for a, b in zip((*h0, *h1), expected))
+
+    def test_equal_power_sweep_scales_one_total_per_allocation(self):
+        cfg = make_cfg(n=50, sw2=2.0)
+        allocs = tuple(PowerAllocation.equal_power(n=50, rho=rho, n_p=10) for rho in (0.3, 0.6))
+        h0 = warden_h0(5, 0, cfg, allocs, 1000)
+        total = 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000)
+        assert np.array_equal(h0[0], total) and h0[1] == 0.0
+        for alloc in allocs:
+            p1, d1 = h1_energies(cfg, alloc, h0)
+            assert d1 == 0.0
+            assert np.array_equal(p1, (1.0 + alloc.rho_p / 2.0) * total)
+
+    def test_mixed_sweep_scales_one_draw_per_segment(self):
+        # one unequal-power allocation makes the pass draw both segments, for all
+        cfg = make_cfg(n=50, sw2=2.0)
+        allocs = (
+            PowerAllocation.equal_power(n=50, rho=0.3, n_p=10),
+            PowerAllocation.split(n=50, rho=0.3, eta=0.5, n_p=10),
+        )
+        h0 = warden_h0(5, 0, cfg, allocs, 100)
+        rng = monte_carlo._stream(5, 1, 0)
+        pilot = 2.0 * rng.standard_gamma(10, 100)
+        data = 2.0 * rng.standard_gamma(40, 100)
+        assert np.array_equal(h0[0], pilot) and np.array_equal(h0[1], data)
+        for alloc in allocs:
+            p1, d1 = h1_energies(cfg, alloc, h0)
+            assert np.array_equal(p1, (1.0 + alloc.rho_p / 2.0) * pilot)
+            assert np.array_equal(d1, (1.0 + alloc.rho_d / 2.0) * data)
 
     @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
     def test_equal_power_xi_is_one_binomial_proportion(self, detector):
@@ -359,11 +411,10 @@ def assert_xi_is_one_binomial_proportion(alloc, detector):
     cfg = make_cfg(n=100)
     mc = McConfig(trials=40_000, seed=3)
     for chunk, size in monte_carlo._chunks(mc.trials):
-        h0, h1 = monte_carlo._draw_segment_energies(
-            monte_carlo._stream(mc.seed, 1, chunk), cfg, alloc, size
-        )
-        false_alarm = monte_carlo._decides_h1(detector, cfg, alloc, *h0)
-        miss = ~monte_carlo._decides_h1(detector, cfg, alloc, *h1)
+        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
+        h1 = h1_energies(cfg, alloc, h0)
+        false_alarm = decides_h1(detector, cfg, alloc, h0)
+        miss = ~decides_h1(detector, cfg, alloc, h1)
         assert not np.any(false_alarm & miss)
     rates = simulate_willie(cfg, alloc, mc, detector)
     errors = round(rates.alpha.value * mc.trials) + round(rates.beta.value * mc.trials)
@@ -376,15 +427,15 @@ def separate_warden_passes(cfg, alloc, mc, det_a, det_b):
     """Rates of det_a and the disagreement count, each from its own loop."""
     false_alarms = missed = disagreements = 0
     for chunk, size in monte_carlo._chunks(mc.trials):
-        rng = monte_carlo._stream(mc.seed, 1, chunk)
-        h0, h1 = monte_carlo._draw_segment_energies(rng, cfg, alloc, size)
-        false_alarms += int(np.count_nonzero(monte_carlo._decides_h1(det_a, cfg, alloc, *h0)))
-        missed += int(np.count_nonzero(~monte_carlo._decides_h1(det_a, cfg, alloc, *h1)))
+        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
+        h1 = h1_energies(cfg, alloc, h0)
+        false_alarms += int(np.count_nonzero(decides_h1(det_a, cfg, alloc, h0)))
+        missed += int(np.count_nonzero(~decides_h1(det_a, cfg, alloc, h1)))
     for chunk, size in monte_carlo._chunks(mc.trials):
-        rng = monte_carlo._stream(mc.seed, 1, chunk)
-        for energies in monte_carlo._draw_segment_energies(rng, cfg, alloc, size):
-            a = monte_carlo._decides_h1(det_a, cfg, alloc, *energies)
-            b = monte_carlo._decides_h1(det_b, cfg, alloc, *energies)
+        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
+        for energies in (h0, h1_energies(cfg, alloc, h0)):
+            a = decides_h1(det_a, cfg, alloc, energies)
+            b = decides_h1(det_b, cfg, alloc, energies)
             disagreements += int(np.count_nonzero(a != b))
     return false_alarms, missed, disagreements
 
@@ -401,13 +452,64 @@ class TestSharedWardenPass:
         mc = McConfig(trials=40_000, seed=61)
         radiometer = Radiometer(threshold=optimal_threshold(0.05, cfg.sigma_w2))
         lrt = LikelihoodRatioTest()
-        warden = simulate_warden(cfg, alloc, mc, (radiometer, lrt))
+        (warden,) = simulate_warden(cfg, (alloc,), mc, (radiometer, lrt))
         for rates, (det, other) in zip(warden.rates, ((radiometer, lrt), (lrt, radiometer))):
             false_alarms, missed, expected = separate_warden_passes(cfg, alloc, mc, det, other)
             assert (rates.alpha.value, rates.beta.value) == (
                 false_alarms / mc.trials, missed / mc.trials
             )
             assert warden.disagreements == expected
+
+
+def eta_sweep(n_p):
+    """The default fig1 allocations of one pilot count at n = 100."""
+    return tuple(
+        PowerAllocation.split(n=100, rho=0.05, eta=k / 20, n_p=n_p) for k in range(1, 20)
+    )
+
+
+class TestSweepPass:
+    DETECTORS = (LikelihoodRatioTest(), Radiometer(threshold=1.02))
+
+    @pytest.mark.parametrize("n_p", [20, 50])
+    def test_unequal_power_rows_match_solo_passes(self, n_p):
+        cfg = make_cfg(n=100)
+        mc = McConfig(trials=40_000, seed=71)
+        allocs = eta_sweep(n_p)
+        assert sum(alloc.is_equal_power() for alloc in allocs) == 1
+        wardens = simulate_warden(cfg, allocs, mc, self.DETECTORS)
+        assert len(wardens) == len(allocs)
+        for alloc, warden in zip(allocs, wardens):
+            if not alloc.is_equal_power():
+                assert (warden,) == simulate_warden(cfg, (alloc,), mc, self.DETECTORS)
+
+    def test_equal_power_sweep_matches_solo_passes(self):
+        cfg = make_cfg(n=100)
+        mc = McConfig(trials=40_000, seed=73)
+        allocs = tuple(
+            PowerAllocation.equal_power(n=100, rho=rho, n_p=20) for rho in (0.01, 0.05, 0.2)
+        )
+        wardens = simulate_warden(cfg, allocs, mc, self.DETECTORS)
+        assert wardens == tuple(
+            simulate_warden(cfg, (alloc,), mc, self.DETECTORS)[0] for alloc in allocs
+        )
+
+    def test_allocations_must_share_n_p(self):
+        allocs = eta_sweep(20)[:2] + eta_sweep(50)[:1]
+        with pytest.raises(ValueError, match="allocations must share n_p, got 20 and 50"):
+            simulate_warden(make_cfg(n=100), allocs, McConfig(trials=1000, seed=1), self.DETECTORS)
+
+    def test_allocations_must_share_n(self):
+        allocs = (
+            PowerAllocation.equal_power(n=100, rho=0.05, n_p=20),
+            PowerAllocation.equal_power(n=50, rho=0.05, n_p=20),
+        )
+        with pytest.raises(ValueError, match="allocation is for n=50 but"):
+            simulate_warden(make_cfg(n=100), allocs, McConfig(trials=1000, seed=1), self.DETECTORS)
+
+    def test_no_allocation_is_refused(self):
+        with pytest.raises(ValueError, match="at least one allocation"):
+            simulate_warden(make_cfg(n=100), (), McConfig(trials=1000, seed=1), self.DETECTORS)
 
 
 class TestBobSimulation:
@@ -601,4 +703,4 @@ class TestBobSimulation:
         with pytest.raises(ValueError, match="allocation is for n=10 but"):
             simulate_bob(cfg, alloc, mc)
         with pytest.raises(ValueError, match="allocation is for n=10 but"):
-            simulate_warden(cfg, alloc, mc, (LikelihoodRatioTest(),))
+            simulate_warden(cfg, (alloc,), mc, (LikelihoodRatioTest(),))
