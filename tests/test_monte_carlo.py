@@ -393,6 +393,24 @@ class TestCoupledWardenDraw:
             assert np.array_equal(p1, (1.0 + alloc.rho_p / 2.0) * pilot)
             assert np.array_equal(d1, (1.0 + alloc.rho_d / 2.0) * data)
 
+    def test_equal_power_decisions_match_the_formulas_with_a_zero_data_energy(self):
+        # the equal-power total's 0.0 data energy is not added, which changes no decision
+        cfg = make_cfg(n=100, sw2=2.0)
+        alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
+        h0 = warden_h0(5, 0, cfg, (alloc,), 1000)
+        w = alloc.rho_p / (2.0 * (alloc.rho_p + 2.0))
+        threshold = 20 * math.log1p(alloc.rho_p / 2.0) + 80 * math.log1p(alloc.rho_d / 2.0)
+        for pilot, data in (h0, h1_energies(cfg, alloc, h0)):
+            assert data == 0.0
+            assert np.array_equal(
+                decides_h1(Radiometer(threshold=2.1), cfg, alloc, (pilot, data)),
+                (pilot + data) / 100 > 2.1,
+            )
+            assert np.array_equal(
+                decides_h1(LikelihoodRatioTest(), cfg, alloc, (pilot, data)),
+                w * pilot + w * data > threshold,
+            )
+
     @pytest.mark.parametrize("detector", [LikelihoodRatioTest(), Radiometer(threshold=1.02)])
     def test_equal_power_xi_is_one_binomial_proportion(self, detector):
         assert_xi_is_one_binomial_proportion(
