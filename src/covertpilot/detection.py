@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
+from .link_model import PowerAllocation, SystemConfig, _check_alloc, _check_slot, _is_integer
 from .specfun import expm1mx, stirlerr
 
 
@@ -61,8 +61,7 @@ def kl_divergence_deta(cfg: SystemConfig, rho: float, eta: float, n_p: int) -> f
     Vanishes at eta = n_d / n, the equal-power point.  Matches the central
     finite difference of kl_divergence over eta.
     """
-    if not 1 <= n_p <= cfg.n - 1:
-        raise ValueError(f"n_p must lie in [1, n-1], got {n_p!r}")
+    _check_slot(cfg.n, n_p)
     if not (rho > 0):
         raise ValueError(f"kl_divergence_deta requires rho > 0, got {rho!r}")
     if not (0.0 < eta < 1.0):

@@ -2,16 +2,17 @@
 
 The warden's detectors (energy detector and likelihood ratio test) are
 functions of the received energy in the pilot and data segments, and the
-sum of k iid squared magnitudes of CN(0, v) samples is Gamma(k, v), so
-the hot path draws segment energies directly.  One draw per trial
-serves both hypotheses and every power split of one pilot count: the
-H0 energies hold no power, each H1 segment energy is its H0 energy
-scaled by 1 + rho_seg / sigma_w2, and when every split is at equal
-power, where both detectors read only the total energy, that draw is a
-single Gamma(n) total.  One pass over the warden stream evaluates every
-allocation and detector a call names, on buffers allocated once per
-pass, and feeds both the error rates and the detector disagreement
-count.
+sum of k iid squared magnitudes of CN(0, v) samples is v times a unit
+Gamma(k) draw, so the hot path draws the unit energies G_p ~ Gamma(n_p)
+and G_d ~ Gamma(n_d) directly.  Under either hypothesis each detector
+decides H1 where a_p G_p + a_d G_d > t, one linear test per detector
+and hypothesis whose coefficients carry sigma_w2 and the segment
+powers, so one draw per trial serves both hypotheses and every power
+split of one pilot count.  When every split is at equal power, where
+both detectors weigh the segments alike, the draw is a single Gamma(n)
+total.  One pass over the warden stream builds every allocation's
+tests, evaluates them on buffers allocated once per pass, and feeds
+both the error rates and the detector disagreement count.
 Bob's MMSE estimate depends on the pilot observations only through
 their average, whose noise term is CN(0, sigma_b2 / n_p), so that
 average is drawn directly as well, in one pass of real arithmetic that
@@ -41,16 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
 
 if TYPE_CHECKING:
     import numpy as np
-
-    # (pilot, data) energies; in a pass of equal-power allocations only,
-    # the pilot energy carries the total and the data energy is 0.0
-    _Energies = Tuple[np.ndarray, Union[np.ndarray, float]]
 
 CHUNK_TRIALS = 1 << 14
 MIN_TRIALS = 1_000
@@ -148,27 +145,24 @@ def _prob_estimate(count: int, trials: int) -> McEstimate:
     )
 
 
-def _decides_h1(
-    detector: Detector,
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    pilot_energy: np.ndarray,
-    data_energy: Union[np.ndarray, float],
-    work: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Whether each trial decides H1, written into the bool row `out`; `work` is scratch."""
-    import numpy as np
+def _linear_test(
+    detector: Detector, cfg: SystemConfig, alloc: PowerAllocation, hypothesis: int
+) -> Tuple[float, float, float]:
+    """The test (a_p, a_d, t) of `detector` under `hypothesis`, 0 for H0 and 1 for H1.
 
-    stat, spare = work
+    The detector decides H1 where a_p G_p + a_d G_d > t on the unit draws.
+    Each segment energy is v_k G_k, its unit draw G_k ~ Gamma(n_k) times
+    v_k = sigma_w2 under H0 and sigma_w2 + rho_k under H1.  The radiometer
+    compares the energy sum with n tau, and the LRT weighs each energy by
+    w_k = rho_k / (sigma_w2 (rho_k + sigma_w2)) against its log1p threshold,
+    so both tests are linear in the unit draws with coefficients v_k and
+    w_k v_k.  Float addition and multiplication by w_k >= 0 are monotone,
+    so a^H1 >= a^H0 >= 0 holds exactly.
+    """
     sw2 = cfg.sigma_w2
-    # an equal-power total comes with a data energy of 0.0, whose addition
-    # would change no decision, so it is skipped
-    has_data = not isinstance(data_energy, float)
+    v_p, v_d = (sw2 + alloc.rho_p, sw2 + alloc.rho_d) if hypothesis else (sw2, sw2)
     if isinstance(detector, Radiometer):
-        if has_data:
-            pilot_energy = np.add(pilot_energy, data_energy, out=stat)
-        return np.greater(np.divide(pilot_energy, cfg.n, out=stat), detector.threshold, out=out)
+        return v_p, v_d, cfg.n * detector.threshold
     if isinstance(detector, LikelihoodRatioTest):
         # 1/sw2 - 1/(rho + sw2) without its cancellation at low SNR
         w_p = alloc.rho_p / (sw2 * (alloc.rho_p + sw2))
@@ -177,10 +171,7 @@ def _decides_h1(
             alloc.n_p * math.log1p(alloc.rho_p / sw2)
             + alloc.n_d * math.log1p(alloc.rho_d / sw2)
         )
-        np.multiply(pilot_energy, w_p, out=stat)
-        if has_data:
-            np.add(stat, np.multiply(data_energy, w_d, out=spare), out=stat)
-        return np.greater(stat, threshold, out=out)
+        return w_p * v_p, w_d * v_d, threshold
     raise TypeError(f"unknown detector type: {detector!r}")
 
 
@@ -190,50 +181,21 @@ def _draw_segment_energies(
     allocs: Tuple[PowerAllocation, ...],
     energies: np.ndarray,
     size: int,
-) -> _Energies:
-    """H0 (pilot, data) segment energies for `size` trials of every allocation in `allocs`.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Unit (pilot, data) segment energies for `size` trials of every allocation in `allocs`.
 
-    The unit energies G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d), drawn in that
-    order into the first `size` columns of the two rows of `energies`,
-    give the H0 energies sigma_w2 (G_p, G_d); no power enters them, so
-    one draw serves every allocation of a shared n_p, and _h1_energies
-    scales it to each allocation's H1 energies.  When every allocation is
-    at equal power the detectors read only the total, so one Gamma(n)
-    draw gives the H0 total, carried as the pilot energy next to a zero
-    data energy.
+    G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d) are drawn in that order into the
+    first `size` columns of the two rows of `energies`.  No power or noise
+    enters them, so one draw serves both hypotheses and every allocation
+    of a shared n_p (common random numbers).  When every allocation is at
+    equal power both tests weigh the segments alike, so one Gamma(n) draw
+    of the total stands for G_p + G_d, returned as (G, None).
     """
-    import numpy as np
-
-    sw2 = cfg.sigma_w2
     pilot, data = energies[:, :size]
     if all(alloc.is_equal_power() for alloc in allocs):
-        rng.standard_gamma(cfg.n, out=pilot)
-        return np.multiply(pilot, sw2, out=pilot), 0.0
+        return rng.standard_gamma(cfg.n, out=pilot), None
     rng.standard_gamma(allocs[0].n_p, out=pilot)
-    rng.standard_gamma(allocs[0].n_d, out=data)
-    return np.multiply(pilot, sw2, out=pilot), np.multiply(data, sw2, out=data)
-
-
-def _h1_energies(
-    cfg: SystemConfig,
-    alloc: PowerAllocation,
-    h0: _Energies,
-    out: np.ndarray,
-) -> _Energies:
-    """One allocation's H1 energies, written into the two rows of `out`.
-
-    Each H1 segment energy is its H0 energy times 1 + rho_seg / sigma_w2:
-    H1 and H0 share the draw (common random numbers), so every consumer
-    of a chunk stream sees identical samples under both hypotheses.
-    """
-    import numpy as np
-
-    sw2 = cfg.sigma_w2
-    pilot, data = h0
-    pilot_h1 = np.multiply(pilot, 1.0 + alloc.rho_p / sw2, out=out[0])
-    if isinstance(data, float):  # an equal-power total
-        return pilot_h1, data
-    return pilot_h1, np.multiply(data, 1.0 + alloc.rho_d / sw2, out=out[1])
+    return pilot, rng.standard_gamma(allocs[0].n_d, out=data)
 
 
 def simulate_warden(
@@ -250,11 +212,13 @@ def simulate_warden(
     the same samples, so the disagreement count comes from exactly the
     samples that produced the rates, and the estimates of two allocations
     are positively correlated (common random numbers), which makes their
-    differences precise.  Per detector, xi = alpha + beta.  The two
-    hypotheses share one draw per trial, whose H1 segment energies are
-    never below its H0 ones, and both detectors weigh the energies with
-    nonnegative weights, so a false alarm and a miss never fall on one
-    trial: xi is a binomial proportion at any power split.
+    differences precise.  Every decision is one linear test on the unit
+    draws, built by _linear_test before the first draw.  Per detector,
+    xi = alpha + beta.  The two hypotheses share the draw and the
+    threshold, and a test's H1 coefficients are never below its H0 ones,
+    which are nonnegative, in floating point at any scale, so a false
+    alarm and a miss never fall on one trial: xi is a binomial
+    proportion at any power split.
     """
     import numpy as np
 
@@ -266,26 +230,33 @@ def simulate_warden(
             raise ValueError(
                 f"allocations must share n_p, got {allocs[0].n_p} and {alloc.n_p}"
             )
+    # per allocation and hypothesis: one (a_p, a_d, t) per detector
+    tests = [
+        [[_linear_test(d, cfg, alloc, hypothesis) for d in detectors] for hypothesis in (0, 1)]
+        for alloc in allocs
+    ]
     # per allocation and detector: (false alarms, misses)
     errors = [[[0, 0] for _ in detectors] for _ in allocs]
     disagreements = [0] * len(allocs)
-    # H0 then H1 (pilot, data) energies, two work rows and one decision row per detector
-    energies, work = np.empty((4, CHUNK_TRIALS)), np.empty((2, CHUNK_TRIALS))
+    # the unit (pilot, data) draws, two work rows and one decision row per detector
+    energies, work = np.empty((2, CHUNK_TRIALS)), np.empty((2, CHUNK_TRIALS))
     decided = np.empty((len(detectors), CHUNK_TRIALS), dtype=bool)
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        h0 = _draw_segment_energies(rng, cfg, allocs, energies[:2], size)
-        for index, alloc in enumerate(allocs):
-            h1 = _h1_energies(cfg, alloc, h0, energies[2:, :size])
-            for hypothesis, segments in enumerate((h0, h1)):
-                decisions = [
-                    _decides_h1(d, cfg, alloc, *segments, work[:, :size], row[:size])
-                    for d, row in zip(detectors, decided)
-                ]
-                for counts, decides in zip(errors[index], decisions):
+        pilot, data = _draw_segment_energies(rng, cfg, allocs, energies, size)
+        stat, spare = work[:, :size]
+        for index, alloc_tests in enumerate(tests):
+            for hypothesis, hypothesis_tests in enumerate(alloc_tests):
+                decisions = []
+                for (a_p, a_d, t), row, counts in zip(hypothesis_tests, decided, errors[index]):
+                    np.multiply(pilot, a_p, out=stat)
+                    if data is not None:
+                        np.add(stat, np.multiply(data, a_d, out=spare), out=stat)
+                    decides = np.greater(stat, t, out=row[:size])
                     h1_decisions = int(np.count_nonzero(decides))
                     # an error decides H1 under H0, or H0 under H1
                     counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
+                    decisions.append(decides)
                 if len(decisions) > 1:
                     disagreements[index] += int(np.count_nonzero(decisions[0] != decisions[1]))
     return tuple(

@@ -87,6 +87,11 @@ class TestKlDerivative:
         cfg = make_cfg(n=100)
         assert kl_divergence_deta(cfg, rho=0.05, eta=0.5, n_p=20) < 0.0
 
+    @pytest.mark.parametrize("n_p", [20.5, True], ids=["fraction", "bool"])
+    def test_rejects_a_non_integer_pilot_count(self, n_p):
+        with pytest.raises(ValueError, match="n_p must be an integer"):
+            kl_divergence_deta(make_cfg(n=100), rho=0.05, eta=0.5, n_p=n_p)
+
     def test_matches_finite_difference(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,23 +75,48 @@ def bob_rows(cfg, alloc, seed, chunk, size):
             err_a * a - hat_c * c, err_a * b - hat_c * d)
 
 
-def warden_h0(seed, chunk, cfg, allocs, size):
-    """The H0 energies of one warden chunk, drawn by the pass's helper into a fresh buffer."""
+def warden_draws(seed, chunk, cfg, allocs, size):
+    """The unit energies of one warden chunk, drawn by the pass's helper into a fresh buffer."""
     rng = monte_carlo._stream(seed, 1, chunk)
     energies = np.empty((2, CHUNK_TRIALS))
     return monte_carlo._draw_segment_energies(rng, cfg, allocs, energies, size)
 
 
-def h1_energies(cfg, alloc, h0):
-    """One allocation's H1 energies, scaled by the pass's helper into a fresh buffer."""
-    return monte_carlo._h1_energies(cfg, alloc, h0, np.empty((2, len(h0[0]))))
+def decides_h1(detector, cfg, alloc, hypothesis, draws):
+    """One detector's decisions under one hypothesis: the pass's linear test on the unit draws."""
+    a_p, a_d, t = monte_carlo._linear_test(detector, cfg, alloc, hypothesis)
+    pilot, data = draws
+    return (a_p * pilot if data is None else a_p * pilot + a_d * data) > t
 
 
-def decides_h1(detector, cfg, alloc, energies):
-    """One detector's decisions, made by the pass's helper into fresh buffers."""
-    size = len(energies[0])
-    work, out = np.empty((2, size)), np.empty(size, dtype=bool)
-    return monte_carlo._decides_h1(detector, cfg, alloc, *energies, work, out)
+def textbook_decides_h1(detector, cfg, alloc, pilot_energy, data_energy):
+    """Oracle: a detector's decisions on explicit segment energies."""
+    if isinstance(detector, Radiometer):
+        return (pilot_energy + data_energy) / cfg.n > detector.threshold
+    sw2 = cfg.sigma_w2
+    w_p = alloc.rho_p / (sw2 * (alloc.rho_p + sw2))
+    w_d = alloc.rho_d / (sw2 * (alloc.rho_d + sw2))
+    t = alloc.n_p * math.log1p(alloc.rho_p / sw2) + alloc.n_d * math.log1p(alloc.rho_d / sw2)
+    return w_p * pilot_energy + w_d * data_energy > t
+
+
+def assert_decisions_match_the_textbook(cfg, alloc, draws, detectors):
+    """Both hypotheses' decisions equal the textbook rule on the energies v_k G_k.
+
+    v_k = sigma_w2 under H0 and sigma_w2 + rho_k under H1; an equal-power
+    total G carries the whole slot's energy next to a zero data energy.
+    """
+    pilot, data = draws
+    sw2 = cfg.sigma_w2
+    for hypothesis, (v_p, v_d) in enumerate(
+        ((sw2, sw2), (sw2 + alloc.rho_p, sw2 + alloc.rho_d))
+    ):
+        energies = (v_p * pilot, 0.0 if data is None else v_d * data)
+        for detector in detectors:
+            assert np.array_equal(
+                decides_h1(detector, cfg, alloc, hypothesis, draws),
+                textbook_decides_h1(detector, cfg, alloc, *energies),
+            ), (hypothesis, detector)
 
 
 def textbook_bob(cfg, alloc, mc):
@@ -340,41 +366,35 @@ class TestExactLrtError:
 
 
 class TestCoupledWardenDraw:
+    # sigma_w2 = 2 and rho = 0.3 put the mean per-sample power at 2 (H0) and 2.3 (H1)
+    DETECTORS = (LikelihoodRatioTest(), Radiometer(threshold=2.1))
+
     def test_equal_power_scales_one_total_per_trial(self):
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.equal_power(n=50, rho=0.3, n_p=10)
-        p0, d0 = warden_h0(5, 0, cfg, (alloc,), 1000)
-        p1, d1 = h1_energies(cfg, alloc, (p0, d0))
-        assert d0 == d1 == 0.0
-        assert np.array_equal(p0, 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
-        assert np.array_equal(p1, (1.0 + 0.3 / 2.0) * p0)
+        total, data = warden_draws(5, 0, cfg, (alloc,), 1000)
+        assert data is None
+        assert np.array_equal(total, monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000))
+        assert_decisions_match_the_textbook(cfg, alloc, (total, data), self.DETECTORS)
 
     def test_unequal_power_scales_one_draw_per_segment(self):
         cfg = make_cfg(n=50, sw2=2.0)
         alloc = PowerAllocation.split(n=50, rho=0.3, eta=0.5, n_p=10)
-        h0 = warden_h0(5, 0, cfg, (alloc,), 100)
-        h1 = h1_energies(cfg, alloc, h0)
+        draws = warden_draws(5, 0, cfg, (alloc,), 100)
         rng = monte_carlo._stream(5, 1, 0)
-        pilot = 2.0 * rng.standard_gamma(10, 100)
-        data = 2.0 * rng.standard_gamma(40, 100)
-        expected = [
-            pilot,
-            data,
-            (1.0 + alloc.rho_p / 2.0) * pilot,
-            (1.0 + alloc.rho_d / 2.0) * data,
-        ]
-        assert all(np.array_equal(a, b) for a, b in zip((*h0, *h1), expected))
+        pilot = rng.standard_gamma(10, 100)
+        data = rng.standard_gamma(40, 100)
+        assert all(np.array_equal(a, b) for a, b in zip(draws, (pilot, data)))
+        assert_decisions_match_the_textbook(cfg, alloc, draws, self.DETECTORS)
 
     def test_equal_power_sweep_scales_one_total_per_allocation(self):
         cfg = make_cfg(n=50, sw2=2.0)
         allocs = tuple(PowerAllocation.equal_power(n=50, rho=rho, n_p=10) for rho in (0.3, 0.6))
-        h0 = warden_h0(5, 0, cfg, allocs, 1000)
-        total = 2.0 * monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000)
-        assert np.array_equal(h0[0], total) and h0[1] == 0.0
+        draws = warden_draws(5, 0, cfg, allocs, 1000)
+        total = monte_carlo._stream(5, 1, 0).standard_gamma(50, 1000)
+        assert np.array_equal(draws[0], total) and draws[1] is None
         for alloc in allocs:
-            p1, d1 = h1_energies(cfg, alloc, h0)
-            assert d1 == 0.0
-            assert np.array_equal(p1, (1.0 + alloc.rho_p / 2.0) * total)
+            assert_decisions_match_the_textbook(cfg, alloc, draws, self.DETECTORS)
 
     def test_mixed_sweep_scales_one_draw_per_segment(self):
         # one unequal-power allocation makes the pass draw both segments, for all
@@ -383,31 +403,29 @@ class TestCoupledWardenDraw:
             PowerAllocation.equal_power(n=50, rho=0.3, n_p=10),
             PowerAllocation.split(n=50, rho=0.3, eta=0.5, n_p=10),
         )
-        h0 = warden_h0(5, 0, cfg, allocs, 100)
+        draws = warden_draws(5, 0, cfg, allocs, 100)
         rng = monte_carlo._stream(5, 1, 0)
-        pilot = 2.0 * rng.standard_gamma(10, 100)
-        data = 2.0 * rng.standard_gamma(40, 100)
-        assert np.array_equal(h0[0], pilot) and np.array_equal(h0[1], data)
+        pilot = rng.standard_gamma(10, 100)
+        data = rng.standard_gamma(40, 100)
+        assert np.array_equal(draws[0], pilot) and np.array_equal(draws[1], data)
         for alloc in allocs:
-            p1, d1 = h1_energies(cfg, alloc, h0)
-            assert np.array_equal(p1, (1.0 + alloc.rho_p / 2.0) * pilot)
-            assert np.array_equal(d1, (1.0 + alloc.rho_d / 2.0) * data)
+            assert_decisions_match_the_textbook(cfg, alloc, draws, self.DETECTORS)
 
     def test_equal_power_decisions_match_the_formulas_with_a_zero_data_energy(self):
-        # the equal-power total's 0.0 data energy is not added, which changes no decision
+        # the equal-power total has no data draw; the formulas see a data energy of 0.0
         cfg = make_cfg(n=100, sw2=2.0)
         alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
-        h0 = warden_h0(5, 0, cfg, (alloc,), 1000)
+        draws = warden_draws(5, 0, cfg, (alloc,), 1000)
         w = alloc.rho_p / (2.0 * (alloc.rho_p + 2.0))
         threshold = 20 * math.log1p(alloc.rho_p / 2.0) + 80 * math.log1p(alloc.rho_d / 2.0)
-        for pilot, data in (h0, h1_energies(cfg, alloc, h0)):
-            assert data == 0.0
+        for hypothesis, v in enumerate((2.0, 2.0 + alloc.rho_p)):
+            pilot, data = v * draws[0], 0.0
             assert np.array_equal(
-                decides_h1(Radiometer(threshold=2.1), cfg, alloc, (pilot, data)),
+                decides_h1(Radiometer(threshold=2.1), cfg, alloc, hypothesis, draws),
                 (pilot + data) / 100 > 2.1,
             )
             assert np.array_equal(
-                decides_h1(LikelihoodRatioTest(), cfg, alloc, (pilot, data)),
+                decides_h1(LikelihoodRatioTest(), cfg, alloc, hypothesis, draws),
                 w * pilot + w * data > threshold,
             )
 
@@ -429,10 +447,9 @@ def assert_xi_is_one_binomial_proportion(alloc, detector):
     cfg = make_cfg(n=100)
     mc = McConfig(trials=40_000, seed=3)
     for chunk, size in monte_carlo._chunks(mc.trials):
-        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
-        h1 = h1_energies(cfg, alloc, h0)
-        false_alarm = decides_h1(detector, cfg, alloc, h0)
-        miss = ~decides_h1(detector, cfg, alloc, h1)
+        draws = warden_draws(mc.seed, chunk, cfg, (alloc,), size)
+        false_alarm = decides_h1(detector, cfg, alloc, 0, draws)
+        miss = ~decides_h1(detector, cfg, alloc, 1, draws)
         assert not np.any(false_alarm & miss)
     rates = simulate_willie(cfg, alloc, mc, detector)
     errors = round(rates.alpha.value * mc.trials) + round(rates.beta.value * mc.trials)
@@ -445,15 +462,14 @@ def separate_warden_passes(cfg, alloc, mc, det_a, det_b):
     """Rates of det_a and the disagreement count, each from its own loop."""
     false_alarms = missed = disagreements = 0
     for chunk, size in monte_carlo._chunks(mc.trials):
-        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
-        h1 = h1_energies(cfg, alloc, h0)
-        false_alarms += int(np.count_nonzero(decides_h1(det_a, cfg, alloc, h0)))
-        missed += int(np.count_nonzero(~decides_h1(det_a, cfg, alloc, h1)))
+        draws = warden_draws(mc.seed, chunk, cfg, (alloc,), size)
+        false_alarms += int(np.count_nonzero(decides_h1(det_a, cfg, alloc, 0, draws)))
+        missed += int(np.count_nonzero(~decides_h1(det_a, cfg, alloc, 1, draws)))
     for chunk, size in monte_carlo._chunks(mc.trials):
-        h0 = warden_h0(mc.seed, chunk, cfg, (alloc,), size)
-        for energies in (h0, h1_energies(cfg, alloc, h0)):
-            a = decides_h1(det_a, cfg, alloc, energies)
-            b = decides_h1(det_b, cfg, alloc, energies)
+        draws = warden_draws(mc.seed, chunk, cfg, (alloc,), size)
+        for hypothesis in (0, 1):
+            a = decides_h1(det_a, cfg, alloc, hypothesis, draws)
+            b = decides_h1(det_b, cfg, alloc, hypothesis, draws)
             disagreements += int(np.count_nonzero(a != b))
     return false_alarms, missed, disagreements
 
@@ -477,6 +493,47 @@ class TestSharedWardenPass:
                 false_alarms / mc.trials, missed / mc.trials
             )
             assert warden.disagreements == expected
+
+
+class TestLinearTest:
+    RHOS = (0.0, 1e-12, 0.05, 1e6)
+
+    @pytest.mark.parametrize("sw2", [1e-30, 1.0, 1e30])
+    def test_coefficients_in_closed_form_and_monotone(self, sw2):
+        # a^H1 >= a^H0 >= 0 in floats keeps xi a single binomial proportion at any scale
+        cfg = make_cfg(n=100, sw2=sw2)
+        radiometer = Radiometer(threshold=1.0)
+        for rho_p, rho_d in itertools.product(self.RHOS, repeat=2):
+            alloc = PowerAllocation(n=100, n_p=20, rho_p=rho_p, rho_d=rho_d)
+            lrt = [monte_carlo._linear_test(LikelihoodRatioTest(), cfg, alloc, h) for h in (0, 1)]
+            energy = [monte_carlo._linear_test(radiometer, cfg, alloc, h) for h in (0, 1)]
+            assert energy[0][:2] == (sw2, sw2)
+            assert energy[1][:2] == (sw2 + rho_p, sw2 + rho_d)
+            for k, rho in enumerate((rho_p, rho_d)):
+                exact_h0 = Fraction(rho) / (Fraction(rho) + Fraction(sw2))
+                exact_h1 = Fraction(rho) / Fraction(sw2)
+                for coefficient, exact in ((lrt[0][k], exact_h0), (lrt[1][k], exact_h1)):
+                    assert abs(Fraction(coefficient) - exact) <= 4 * 2.0**-52 * exact, (
+                        sw2, rho_p, rho_d, k
+                    )
+                for test in (lrt, energy):
+                    assert test[1][k] >= test[0][k] >= 0.0, (sw2, rho_p, rho_d, k)
+
+    def test_unknown_detector_fails_before_any_draw(self, monkeypatch):
+        opened = []
+        stream = monte_carlo._stream
+
+        def counting_stream(*key):
+            opened.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(monte_carlo, "_stream", counting_stream)
+        alloc = PowerAllocation.split(n=100, rho=0.05, eta=0.5, n_p=20)
+        mc = McConfig(trials=1000, seed=1)
+        for detectors in ((object(),), (LikelihoodRatioTest(), object())):
+            with pytest.raises(TypeError, match="unknown detector type"):
+                simulate_warden(make_cfg(n=100), (alloc,), mc, detectors)
+        assert opened == []
 
 
 def eta_sweep(n_p):
