@@ -247,18 +247,16 @@ def simulate_warden(
         stat, spare = work[:, :size]
         for index, alloc_tests in enumerate(tests):
             for hypothesis, hypothesis_tests in enumerate(alloc_tests):
-                decisions = []
                 for (a_p, a_d, t), row, counts in zip(hypothesis_tests, decided, errors[index]):
                     np.multiply(pilot, a_p, out=stat)
                     if data is not None:
                         np.add(stat, np.multiply(data, a_d, out=spare), out=stat)
-                    decides = np.greater(stat, t, out=row[:size])
-                    h1_decisions = int(np.count_nonzero(decides))
+                    h1_decisions = int(np.count_nonzero(np.greater(stat, t, out=row[:size])))
                     # an error decides H1 under H0, or H0 under H1
                     counts[hypothesis] += size - h1_decisions if hypothesis else h1_decisions
-                    decisions.append(decides)
-                if len(decisions) > 1:
-                    disagreements[index] += int(np.count_nonzero(decisions[0] != decisions[1]))
+                if len(detectors) > 1:
+                    first, second = decided[:2, :size]
+                    disagreements[index] += int(np.count_nonzero(first != second))
     return tuple(
         WardenResult(
             rates=tuple(
