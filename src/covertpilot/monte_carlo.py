@@ -14,10 +14,14 @@ total.  One pass over the warden stream builds every allocation's
 tests, evaluates them on buffers allocated once per pass, and feeds
 both the error rates and the detector disagreement count.
 Bob's MMSE estimate depends on the pilot observations only through
-their average, whose noise term is CN(0, sigma_b2 / n_p), so that
-average is drawn directly as well, in one pass of real arithmetic that
-sums nine moments of the estimate and its error; the SINR estimate and
-the estimation diagnostics are both formed from those sums.
+their average, whose noise term w is CN(0, sigma_b2 / n_p), so that
+average is drawn directly as well.  The channel h ~ CN(0, lambda_ab) and
+w are independent and circularly symmetric, and each of Bob's moments
+is unchanged when both turn by one phase, so his trials are drawn in
+h's own phase frame: h = sqrt(lambda_ab E) is real, with E ~ Exp(1),
+and w takes two unit normals.  One pass of real arithmetic sums nine
+moments of the estimate and its error; the SINR estimate and the
+estimation diagnostics are both formed from those sums.
 simulate_warden and simulate_bob each draw their stream once per call
 and return all that the pass yields; nothing is kept between calls.
 
@@ -274,73 +278,68 @@ def simulate_warden(
 
 
 def _draw_bob_trial(rng: np.random.Generator, normals: np.ndarray, size: int) -> np.ndarray:
-    """Unit normals for `size` trials, as rows h re, h im, w re, w im.
+    """Unit draws for `size` trials, as rows E ~ Exp(1), w re, w im.
 
-    One call fills a (4, size) view of `normals` with the draws that four
-    calls of `size` each would make, in that order.
+    One standard_exponential call, then one standard_normal call, fill a
+    (3, size) view of `normals` with the draws of three calls of `size`.
     """
-    rows = normals[: 4 * size].reshape(4, size)
-    rng.standard_normal(out=rows)
+    rows = normals[: 3 * size].reshape(3, size)
+    rng.standard_exponential(out=rows[0])
+    rng.standard_normal(out=rows[1:])
     return rows
 
 
 def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> BobResult:
     """Empirical post-estimation SINR at Bob and the MMSE diagnostics.
 
-    From unit normals a (of h) and c (of w) per real component, the
-    estimate is h_hat = g sqrt(rho_p) s_h a + g s_w c and its error
-    h - h_hat = kappa s_h a - g s_w c, where s_h and s_w scale the normals
-    to h and w, and kappa = 1 - g sqrt(rho_p) is formed as a ratio, so
-    the error keeps its digits at any pilot SNR.  The SINR is the ratio
-    of the means of s = rho_d |h_hat|^2 and i = rho_d |h - h_hat|^2 + sigma_b2,
-    whose sums are exact combinations of the nine below, with a
-    delta-method standard error.  The same sums give the variances of
-    the estimate and its error, and the correlation of h_hat with
-    h - h_hat (zero for an MMSE split) with standard errors, NaN where
-    the variances' product underflows.
+    In h's phase frame h = sqrt(lambda) r, with r = sqrt(E), and
+    w = s_w (c + i d).  With A = g sqrt(rho_p lambda), K = kappa sqrt(lambda)
+    and B = g s_w, the estimate is h_hat = (A r + B c) + i B d and its
+    error h - h_hat = (K r - B c) - i B d, where kappa = 1 - g sqrt(rho_p)
+    is a ratio, so the error keeps its digits at any pilot SNR, as does
+    Im(h_hat conj(h - h_hat)) = sqrt(lambda) r B d, since A + K = sqrt(lambda).
+    The SINR is the ratio of the means of s = rho_d |h_hat|^2 and
+    i = rho_d |h - h_hat|^2 + sigma_b2, whose sums are exact combinations
+    of the nine below, with a delta-method standard error.  The same sums
+    give the variances of the estimate and its error, and the correlation
+    of h_hat with h - h_hat (zero for an MMSE split) with standard errors,
+    NaN where a variance underflows to 0.
     """
     import numpy as np
 
     _check_alloc(cfg, alloc)
     lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
-    s_h, s_w = math.sqrt(lam / 2.0), math.sqrt(sb2 / (2.0 * n_p))
+    s_h, s_w = math.sqrt(lam), math.sqrt(sb2 / (2.0 * n_p))
     gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
     kappa = sb2 / (lam * n_p * rho_p + sb2)
-    hat_a, hat_c, err_a = gain * math.sqrt(rho_p) * s_h, gain * s_w, kappa * s_h
-    normals, work = np.empty(4 * CHUNK_TRIALS), np.empty((2, CHUNK_TRIALS))
+    hat_r, err_r, w_b = gain * math.sqrt(rho_p) * s_h, kappa * s_h, gain * s_w
+    normals, work = np.empty(3 * CHUNK_TRIALS), np.empty((2, CHUNK_TRIALS))
     # with hh = |h_hat|^2, ee = |h - h_hat|^2 and x = h_hat conj(h - h_hat):
     # hh, hh^2, ee, ee^2, hh ee, Re x, (Re x)^2, Im x, (Im x)^2
     sums = [0.0] * 9
 
     def add(k: int, row: np.ndarray) -> None:
-        sums[k] += float(np.sum(row))
+        sums[k] += float(np.add.reduce(row))
 
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_BOB, chunk)
-        a, b, c, d = _draw_bob_trial(rng, normals, size)
+        r, c, d = _draw_bob_trial(rng, normals, size)
         hat_re, spare = work[:, :size]
-        # per component, the estimate into hat_re then c, the error over a then b
-        for h_row, w_row, hat in ((a, c, hat_re), (b, d, c)):
-            np.multiply(w_row, hat_c, out=w_row)
-            np.multiply(h_row, hat_a, out=hat)
-            np.add(hat, w_row, out=hat)
-            np.multiply(h_row, err_a, out=h_row)
-            np.subtract(h_row, w_row, out=h_row)
-        hat_im, err_re, err_im = c, a, b
-        # Re x = hat_re err_re + hat_im err_im, then Im x = hat_im err_re - hat_re err_im
-        np.multiply(hat_re, err_re, out=d)
-        np.multiply(hat_im, err_im, out=spare)
-        add(5, np.add(d, spare, out=d))
-        add(6, np.multiply(d, d, out=d))
-        np.multiply(hat_im, err_re, out=d)
-        np.multiply(hat_re, err_im, out=spare)
-        add(7, np.subtract(d, spare, out=d))
-        add(8, np.multiply(d, d, out=d))
-        # hh over hat_re and ee over err_re, each squared in place
-        for row in (hat_re, hat_im, err_re, err_im):
-            np.multiply(row, row, out=row)
-        hh = np.add(hat_re, hat_im, out=hat_re)
-        ee = np.add(err_re, err_im, out=err_re)
+        np.sqrt(r, out=r)
+        # B d is h_hat's imaginary part and minus the error's
+        np.multiply(d, w_b, out=d)
+        np.multiply(c, w_b, out=c)
+        np.add(np.multiply(r, hat_r, out=hat_re), c, out=hat_re)
+        err_re = np.subtract(np.multiply(r, err_r, out=spare), c, out=c)
+        # Im x = sqrt(lambda) r B d, then Re x = hat_re err_re - (B d)^2
+        np.multiply(r, s_h, out=r)
+        add(7, np.multiply(r, d, out=r))
+        add(8, np.multiply(r, r, out=r))
+        np.multiply(d, d, out=d)
+        add(5, np.subtract(np.multiply(hat_re, err_re, out=r), d, out=r))
+        add(6, np.multiply(r, r, out=r))
+        hh = np.add(np.multiply(hat_re, hat_re, out=hat_re), d, out=hat_re)
+        ee = np.add(np.multiply(err_re, err_re, out=err_re), d, out=err_re)
         add(0, hh)
         add(2, ee)
         add(4, np.multiply(hh, ee, out=d))
@@ -368,10 +367,11 @@ def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Bob
 
     var_h_hat = moment_estimate(sum_hh, sum_hh2)
     var_h_tilde = moment_estimate(sum_ee, sum_ee2)
-    norm = math.sqrt(var_h_hat.value * var_h_tilde.value)
+    # a product of the variances would overflow or underflow first
+    norm = math.sqrt(var_h_hat.value) * math.sqrt(var_h_tilde.value)
 
     def correlation(total: float, total_sq: float) -> McEstimate:
-        if norm == 0.0:  # the variances' product underflowed
+        if norm == 0.0:  # a variance underflowed
             return McEstimate(math.nan, math.nan, trials)
         moment = moment_estimate(total, total_sq)
         return McEstimate(moment.value / norm, moment.std_err / norm, trials)

@@ -517,14 +517,14 @@ GOLDEN = {
     ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
     ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
     ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
-    ("default", "verify"): "709fedadc294af912c07979340d4aa2b3308cd1d532b62cac130a1ec5d4e2f9e",
+    ("default", "verify"): "2c9dc08752282b255f7009a7b963432c9b1799c4df0af5119ce775ac3b62f5e6",
     ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
     ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
     ("readme", "fig1"): "9f389df5bfababdfdd1e11568b0188e37f3f026c6ef1bd0e02af42a9d6993fb3",
     ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
     ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
     ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
-    ("readme", "verify"): "53e66b01d41748429a3e4ffcd77060d650c7abeafd97ad885ef04d4b25b6d532",
+    ("readme", "verify"): "29ed8556bf499bbecf59f7749f11339b83c7680fea8c4f7fa22154dc74445755",
 }
 
 
@@ -707,13 +707,13 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "system",
-        ["lambda_ab = 1e200\nsigma_b2 = 1e200", "lambda_ab = 1e-120"],
+        ["lambda_ab = 1e200\nsigma_b2 = 1e200", "lambda_ab = 1e-170"],
         ids=["overflow", "underflow"],
     )
     def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, system):
         # with lambda_ab and sigma_b2 at 1e200 the moment sums overflow and
-        # the standard errors are NaN; at lambda_ab = 1e-120 the variances'
-        # product underflows to 0, so no correlation can be formed, and
+        # the standard errors are NaN; at lambda_ab = 1e-170 the estimate's
+        # variance underflows to 0, so no correlation can be formed, and
         # verify still writes every row
         config = tmp_path / "run.ini"
         config.write_text(f"[system]\n{system}\n[verify]\ntrials = 2000\n")
@@ -725,6 +725,23 @@ class TestVerifyCommand:
         for check in ("bob_orthogonality_re", "bob_orthogonality_im"):
             row = dict(zip(header, named[check]))
             assert (row["std_err"], row["passed"]) == ("nan", "0"), check
+
+    @pytest.mark.parametrize("lambda_ab", ["1e-120", "1e-160"])
+    def test_orthogonality_rows_with_a_zero_std_err_fail(self, tmp_path, lambda_ab):
+        # the variances' product would underflow here, but each variance
+        # does not, so the correlations are formed; their squares underflow,
+        # so the standard errors are 0 and a nonzero value cannot pass
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\nlambda_ab = {lambda_ab}\n[verify]\ntrials = 2000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, rows = read_csv(out)
+        named = dict(zip(column(header, rows, "check", str), rows))
+        for check in ("bob_orthogonality_re", "bob_orthogonality_im"):
+            row = dict(zip(header, named[check]))
+            assert 0.0 < abs(float(row["simulated"])) < 1.0, check
+            assert (row["std_err"], row["z_score"], row["passed"]) in (
+                ("0", "inf", "0"), ("0", "-inf", "0")), check
 
     @pytest.mark.parametrize("lambda_ab", ["1e60", "1e150"])
     def test_bob_rows_pass_at_a_huge_pilot_snr(self, tmp_path, lambda_ab):

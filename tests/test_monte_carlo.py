@@ -52,27 +52,27 @@ def mmse_split(cfg, alloc):
 
 
 def bob_normals(seed, chunk, size):
-    """Oracle: the unit normals of h re, h im, w re and w im for one Bob chunk."""
+    """Oracle: the unit draws E ~ Exp(1), then w re and w im, for one Bob chunk."""
     rng = monte_carlo._stream(seed, 2, chunk)
-    return [rng.standard_normal(size) for _ in range(4)]
+    return [rng.standard_exponential(size), rng.standard_normal(size), rng.standard_normal(size)]
 
 
 def bob_rows(cfg, alloc, seed, chunk, size):
-    """Oracle: (h_hat re, h_hat im, err re, err im) of one Bob chunk, in real form.
+    """Oracle: (h_hat re, h_hat im, err re, err im) of one Bob chunk, in h's phase frame.
 
-    h_hat = g sqrt(rho_p) s_h a + g s_w c and h - h_hat = kappa s_h a - g s_w c
-    per component, from the normals a, b of h and c, d of w, with
-    kappa = 1 - g sqrt(rho_p) as a ratio.
+    With h = sqrt(lambda) r, r = sqrt(E), and w = s_w (c + i d):
+    h_hat = (A r + B c) + i B d and h - h_hat = (K r - B c) - i B d, where
+    A = g sqrt(rho_p lambda), K = kappa sqrt(lambda) with kappa = 1 - g sqrt(rho_p)
+    as a ratio, and B = g s_w.
     """
     lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
-    s_h = math.sqrt(lam / 2.0)
-    s_w = math.sqrt(sb2 / (2.0 * n_p))
     gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
     kappa = sb2 / (lam * n_p * rho_p + sb2)
-    hat_a, hat_c, err_a = gain * math.sqrt(rho_p) * s_h, gain * s_w, kappa * s_h
-    a, b, c, d = bob_normals(seed, chunk, size)
-    return (hat_a * a + hat_c * c, hat_a * b + hat_c * d,
-            err_a * a - hat_c * c, err_a * b - hat_c * d)
+    hat_a, err_a = gain * math.sqrt(rho_p) * math.sqrt(lam), kappa * math.sqrt(lam)
+    w_b = gain * math.sqrt(sb2 / (2.0 * n_p))
+    e, c, d = bob_normals(seed, chunk, size)
+    r = np.sqrt(e)
+    return hat_a * r + w_b * c, w_b * d, err_a * r - w_b * c, -(w_b * d)
 
 
 def warden_draws(seed, chunk, cfg, allocs, size):
@@ -122,11 +122,11 @@ def assert_decisions_match_the_textbook(cfg, alloc, draws, detectors):
 def textbook_bob(cfg, alloc, mc):
     """Oracle: Bob's five estimates from complex h, w and h_hat, as a textbook forms them."""
     lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
-    s_h, s_w = math.sqrt(lam / 2.0), math.sqrt(sb2 / (2.0 * n_p))
+    s_w = math.sqrt(sb2 / (2.0 * n_p))
     gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
     chunks = [bob_normals(mc.seed, chunk, size) for chunk, size in monte_carlo._chunks(mc.trials)]
-    a, b, c, d = (np.concatenate(rows) for rows in zip(*chunks))
-    h = s_h * a + 1j * s_h * b
+    e, c, d = (np.concatenate(rows) for rows in zip(*chunks))
+    h = np.sqrt(lam * e) + 0j
     h_hat = gain * (math.sqrt(rho_p) * h + (s_w * c + 1j * s_w * d))
     hh, ee = np.abs(h_hat) ** 2, np.abs(h - h_hat) ** 2
     cross = h_hat * np.conj(h - h_hat)
@@ -660,7 +660,10 @@ class TestBobSimulation:
             hh = hat_re * hat_re + hat_im * hat_im
             ee = err_re * err_re + err_im * err_im
             cross_re = hat_re * err_re + hat_im * err_im
-            cross_im = hat_im * err_re - hat_re * err_im
+            # hat_im err_re - hat_re err_im = hat_im (err_re + hat_re), and
+            # h_hat + (h - h_hat) = h = sqrt(lambda) r is real in h's frame
+            r = np.sqrt(bob_normals(mc.seed, chunk, size)[0])
+            cross_im = math.sqrt(cfg.lambda_ab) * r * hat_im
             terms = (hh, hh * hh, ee, ee * ee, hh * ee, cross_re, cross_re * cross_re,
                      cross_im, cross_im * cross_im)
             for k, term in enumerate(terms):
@@ -672,7 +675,7 @@ class TestBobSimulation:
             return mean, math.sqrt(max(total_sq / t - mean * mean, 0.0) / t)
 
         hh, ee = moment(*sums[0:2]), moment(*sums[2:4])
-        norm = math.sqrt(hh[0] * ee[0])
+        norm = math.sqrt(hh[0]) * math.sqrt(ee[0])
         re, im = moment(*sums[5:7]), moment(*sums[7:9])
         # the SINR's sums of s, i and their products, as exact combinations
         rho_d, sb2 = alloc.rho_d, cfg.sigma_b2
@@ -722,8 +725,8 @@ class TestBobSimulation:
             assert estimate.std_err == pytest.approx(std_err, rel=1e-14, abs=0), case
 
     def test_matches_the_textbook_complex_form(self):
-        # h, w and h_hat = g (sqrt(rho_p) h + w) rebuilt as complex arrays
-        # from the same four normals; that form loses digits of h - h_hat
+        # h = sqrt(lambda E), w and h_hat = g (sqrt(rho_p) h + w) rebuilt as
+        # complex arrays from the same draws; that form loses digits of h - h_hat
         # as the pilot SNR grows, so the check stops at a pilot SNR of 1e6
         mc = McConfig(trials=20_000, seed=67)
         for lam, sigma_b2, rho, n_p in itertools.product(
@@ -763,13 +766,81 @@ class TestBobSimulation:
                 assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
                 assert got.std_err == pytest.approx(want.std_err, rel=1e-12, abs=0)
 
-    def test_one_draw_fills_the_four_rows(self):
-        # one (4, size) standard_normal call gives the draws of four calls of size
+    def test_one_draw_per_kind_fills_the_three_rows(self):
+        # one standard_exponential call, then one (2, size) standard_normal
+        # call, give the draws of separate calls of size, in that order
         for size in (1000, CHUNK_TRIALS):
-            normals = np.empty(4 * CHUNK_TRIALS)
+            normals = np.empty(3 * CHUNK_TRIALS)
             rows = monte_carlo._draw_bob_trial(monte_carlo._stream(5, 2, 0), normals, size)
-            assert rows.shape == (4, size)
+            assert rows.shape == (3, size)
             assert np.array_equal(rows, bob_normals(5, 0, size))
+
+    def test_moments_do_not_change_when_h_and_w_turn_by_one_phase(self):
+        # the pass draws h real: every moment it sums is the same function
+        # of (h, w) and of (h, w) turned by e^{-i arg h}, whose h is |h|
+        rng = np.random.default_rng(3)
+        a, b, c, d = rng.standard_normal((4, 2000))
+
+        def moments(h, w, gain, kappa, rho_p):
+            h_hat = gain * (math.sqrt(rho_p) * h + w)
+            err = kappa * h - gain * w  # h - h_hat without its cancellation
+            hh, ee = np.abs(h_hat) ** 2, np.abs(err) ** 2
+            x = h_hat * np.conj(err)
+            return hh, ee, x, (hh, ee, hh * hh, ee * ee, hh * ee), (x.real, x.imag)
+
+        for lam, sb2, rho, n_p in itertools.product(
+            (1e-3, 1.0, 1e3), (1e-3, 1.0, 1e3), (1e-3, 0.1, 10.0), (1, 10)
+        ):
+            alloc = PowerAllocation.equal_power(n=100, rho=rho, n_p=n_p)
+            pilot_energy = lam * n_p * alloc.rho_p
+            gain = math.sqrt(alloc.rho_p) * lam * n_p / (pilot_energy + sb2)
+            kappa = sb2 / (pilot_energy + sb2)
+            s_h, s_w = math.sqrt(lam / 2.0), math.sqrt(sb2 / (2.0 * n_p))
+            h, w = s_h * (a + 1j * b), s_w * (c + 1j * d)
+            turn = np.exp(-1j * np.angle(h))
+            hh, ee, x, before, before_x = moments(h, w, gain, kappa, alloc.rho_p)
+            *_, after, after_x = moments(h * turn, w * turn, gain, kappa, alloc.rho_p)
+            case = (lam, sb2, rho, n_p)
+            for got, want in zip(after, before):
+                assert np.all(np.abs(got - want) <= 1e-13 * want), case
+            # x is compared on its own scale |x|, its square on |x|^2
+            for got, want in zip(after_x, before_x):
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(x)), case
+                assert np.all(np.abs(got * got - want * want) <= 1e-13 * np.abs(x) ** 2), case
+
+    def test_estimates_are_calibrated_over_seeds(self):
+        # z-scores of the SINR (against the closed form) and of both
+        # correlations (against 0) over 200 seeds: mean 0 and sd 1
+        alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
+        for lam, sb2 in ((1.0, 1.0), (1e-3, 10.0), (1e150, 1.0)):
+            cfg = SystemConfig(n=100, lambda_ab=lam, sigma_b2=sb2, sigma_w2=1.0, epsilon=0.1)
+            analytic = sinr(cfg, alloc)
+            z = []
+            for seed in range(1, 201):
+                result = simulate_bob(cfg, alloc, McConfig(trials=20_000, seed=seed))
+                z.append([(result.sinr.value - analytic) / result.sinr.std_err,
+                          result.orth_corr_re.value / result.orth_corr_re.std_err,
+                          result.orth_corr_im.value / result.orth_corr_im.std_err])
+            z = np.array(z)
+            assert np.all(np.abs(z.mean(axis=0)) <= 0.3), (lam, sb2, z.mean(axis=0))
+            assert np.all((0.8 <= z.std(axis=0)) & (z.std(axis=0) <= 1.2)), (lam, sb2, z.std(axis=0))
+
+    def test_correlations_do_not_depend_on_a_common_scale(self):
+        # lambda_ab = sigma_b2 = c scales every row by sqrt(c), so the
+        # correlations, normed by sqrt(var_h_hat) sqrt(var_h_tilde), stay put
+        # even where the variances' product would overflow or underflow
+        alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
+        mc = McConfig(trials=20_000, seed=73)
+
+        def correlations(scale):
+            cfg = SystemConfig(n=100, lambda_ab=scale, sigma_b2=scale, sigma_w2=1.0, epsilon=0.1)
+            with np.errstate(over="ignore"):
+                result = simulate_bob(cfg, alloc, mc)
+            return result.orth_corr_re.value, result.orth_corr_im.value
+
+        unit = correlations(1.0)
+        for exponent in range(-200, 201, 25):
+            assert correlations(10.0**exponent) == pytest.approx(unit, rel=1e-12, abs=0), exponent
 
     def test_allocation_for_another_n_is_refused(self):
         cfg = make_cfg(n=100)
