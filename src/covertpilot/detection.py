@@ -13,15 +13,13 @@ covert margin, with the same quadrature.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc, _check_slot, _is_integer
 from .specfun import expm1mx, stirlerr
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     """Warden detection metrics at equal pilot and data power."""
 
     d01: float

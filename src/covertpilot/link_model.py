@@ -11,7 +11,7 @@ concern.
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # pilot and data powers within this fraction of the larger count as equal:
 # a split at eta = n_d / n lands an ulp or so off rho_p == rho_d
@@ -22,8 +22,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class _SystemConfigFields(NamedTuple):
+    n: int
+    lambda_ab: float
+    sigma_b2: float
+    sigma_w2: float
+    epsilon: float
+
+
+class SystemConfig(_SystemConfigFields):
     """Slot-level physical parameters.
 
     n           total channel uses per slot (pilots + data)
@@ -34,21 +41,23 @@ class SystemConfig:
                 detection error probability must stay >= 1 - epsilon
     """
 
-    n: int
-    lambda_ab: float
-    sigma_b2: float
-    sigma_w2: float
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_integer(self.n) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        for name in ("lambda_ab", "sigma_b2", "sigma_w2"):
-            value = getattr(self, name)
+    def __new__(cls, n, lambda_ab, sigma_b2, sigma_w2, epsilon):
+        if not _is_integer(n) or n < 2:
+            raise ValueError(f"n must be an integer >= 2, got {n!r}")
+        for name, value in (("lambda_ab", lambda_ab), ("sigma_b2", sigma_b2),
+                            ("sigma_w2", sigma_w2)):
             if not (0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if not (0.0 < epsilon < 1.0):
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+        return tuple.__new__(cls, (n, lambda_ab, sigma_b2, sigma_w2, epsilon))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
 
 def _check_slot(n, n_p) -> None:
@@ -60,8 +69,14 @@ def _check_slot(n, n_p) -> None:
         raise ValueError(f"n_p must lie in [1, n-1], got {n_p!r} for n={n}")
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+class _PowerAllocationFields(NamedTuple):
+    n: int
+    n_p: int
+    rho_p: float
+    rho_d: float
+
+
+class PowerAllocation(_PowerAllocationFields):
     """Per-symbol powers of a slot of n symbols, the first n_p of them pilots.
 
     rho_p is the power of each pilot symbol and rho_d that of each of the
@@ -69,17 +84,18 @@ class PowerAllocation:
     limits can be expressed.
     """
 
-    n: int
-    n_p: int
-    rho_p: float
-    rho_d: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_slot(self.n, self.n_p)
-        for name in ("rho_p", "rho_d"):
-            value = getattr(self, name)
+    def __new__(cls, n, n_p, rho_p, rho_d):
+        _check_slot(n, n_p)
+        for name, value in (("rho_p", rho_p), ("rho_d", rho_d)):
             if not (value >= 0):
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        return tuple.__new__(cls, (n, n_p, rho_p, rho_d))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def n_d(self) -> int:

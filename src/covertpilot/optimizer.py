@@ -15,8 +15,7 @@ below by Pinsker's inequality.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .detection import covert_margin
 from .link_model import PowerAllocation, SystemConfig, effective_sinr
@@ -36,8 +35,7 @@ class SolverError(RuntimeError):
     """The power solve did not converge; the configuration is pathological."""
 
 
-@dataclass(frozen=True)
-class PowerSolve:
+class PowerSolve(NamedTuple):
     """The covert power and how the solve reached it."""
 
     rho: float
@@ -45,8 +43,7 @@ class PowerSolve:
     iterations: int  # covert_margin evaluations
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(NamedTuple):
     """Output of the full design optimization."""
 
     rho_star: float

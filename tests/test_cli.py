@@ -2,12 +2,12 @@
 
 import argparse
 import configparser
-import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,7 +195,7 @@ class TestConfigHandling:
         keys = {key for section in cli._SECTIONS.values() for key in section}
         assert keys == set(cli._PARSERS)
         system = set(cli._SECTIONS["system"]) - {"seed"}
-        assert system == {f.name for f in dataclasses.fields(cli.SystemConfig)}
+        assert system == set(cli.SystemConfig._fields)
 
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_readme_config_example_resolves(self, tmp_path, capsys, command):
@@ -563,6 +563,23 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_design_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # the records are NamedTuples, so the CLI's import skips these two and
+    # the ast, dis and tokenize modules that inspect pulls in
+    script = (
+        "import sys, covertpilot.cli as cli\n"
+        f"assert cli.main(['design', '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covertpilot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 class TestFigureCommands:
     def test_fig1_columns_and_bound(self, tmp_path):
         config = tmp_path / "run.ini"
@@ -710,15 +727,20 @@ class TestVerifyCommand:
         ["lambda_ab = 1e200\nsigma_b2 = 1e200", "lambda_ab = 1e-170"],
         ids=["overflow", "underflow"],
     )
-    def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, system):
+    def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, capsys, system):
         # with lambda_ab and sigma_b2 at 1e200 the moment sums overflow and
         # the standard errors are NaN; at lambda_ab = 1e-170 the estimate's
         # variance underflows to 0, so no correlation can be formed, and
-        # verify still writes every row
+        # verify still writes every row, with nothing on stderr
         config = tmp_path / "run.ini"
         config.write_text(f"[system]\n{system}\n[verify]\ntrials = 2000\n")
         out = tmp_path / "verify.csv"
-        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_CHECK_FAILED
+        assert [str(warning.message) for warning in caught] == []
+        assert capsys.readouterr().err == ""
         header, rows = read_csv(out)
         named = dict(zip(column(header, rows, "check", str), rows))
         assert len(named) == 7
@@ -742,6 +764,18 @@ class TestVerifyCommand:
             assert 0.0 < abs(float(row["simulated"])) < 1.0, check
             assert (row["std_err"], row["z_score"], row["passed"]) in (
                 ("0", "inf", "0"), ("0", "-inf", "0")), check
+
+    def test_bob_sinr_fails_where_the_closed_form_underflows(self, tmp_path):
+        # Bob's SINR here is below the smallest double, so the estimate and
+        # the closed form both read 0; a row that checked nothing fails
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nlambda_ab = 1e-165\n[verify]\ntrials = 2000\n")
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
+        header, rows = read_csv(out)
+        row = dict(zip(header, dict(zip(column(header, rows, "check", str), rows))["bob_sinr"]))
+        assert (row["simulated"], row["analytic"], row["std_err"]) == ("0", "0", "0")
+        assert (row["z_score"], row["passed"]) == ("0", "0")
 
     @pytest.mark.parametrize("lambda_ab", ["1e60", "1e150"])
     def test_bob_rows_pass_at_a_huge_pilot_snr(self, tmp_path, lambda_ab):
@@ -768,7 +802,7 @@ class TestVerifyCommand:
         def off_by_ten_std_errs(*args):
             estimate = simulate_bob_sinr(*args)
             seen.append(estimate)
-            return dataclasses.replace(estimate, value=estimate.value + 10.0 * estimate.std_err)
+            return estimate._replace(value=estimate.value + 10.0 * estimate.std_err)
 
         monkeypatch.setattr(cli, "simulate_bob_sinr", off_by_ten_std_errs)
         assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_CHECK_FAILED
@@ -783,7 +817,7 @@ class TestVerifyCommand:
 
         def off_with_zero_std_err(*args):
             estimate = simulate_bob_sinr(*args)
-            return dataclasses.replace(estimate, value=2.0 * estimate.value, std_err=0.0)
+            return estimate._replace(value=2.0 * estimate.value, std_err=0.0)
 
         monkeypatch.setattr(cli, "simulate_bob_sinr", off_with_zero_std_err)
         out = tmp_path / "verify.csv"

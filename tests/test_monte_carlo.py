@@ -535,6 +535,14 @@ class TestLinearTest:
                 simulate_warden(make_cfg(n=100), (alloc,), mc, detectors)
         assert opened == []
 
+    def test_no_detector_is_refused(self):
+        alloc = PowerAllocation.split(n=100, rho=0.05, eta=0.5, n_p=20)
+        mc = McConfig(trials=1000, seed=1)
+        # the records are tuples: a bare LikelihoodRatioTest() is an empty one
+        for detectors in ((), LikelihoodRatioTest()):
+            with pytest.raises(ValueError, match="at least one detector"):
+                simulate_warden(make_cfg(n=100), (alloc,), mc, detectors)
+
 
 def eta_sweep(n_p):
     """The default fig1 allocations of one pilot count at n = 100."""
