@@ -22,6 +22,8 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# a NamedTuple body may not define __new__, so each checked record is a
+# subclass of a bare field tuple; its __new__ checks before the tuple is built
 class _SystemConfigFields(NamedTuple):
     n: int
     lambda_ab: float
