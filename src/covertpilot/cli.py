@@ -30,7 +30,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
-from .link_model import PowerAllocation, SystemConfig, effective_sinr, sinr
+from .link_model import PowerAllocation, SystemConfig, _check_slot, sinr
 from .monte_carlo import (
     BobResult,
     LikelihoodRatioTest,
@@ -43,7 +43,7 @@ from .monte_carlo import (
     simulate_bob,
     simulate_warden,
 )
-from .optimizer import SolverError, design, np_star, solve_rho_star
+from .optimizer import SolverError, design, effective_sinr_equal_power
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -198,8 +198,10 @@ _SECTIONS: Dict[str, Dict[str, object]] = {
 }
 
 
-def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
+def resolve_run_config(args, command: str) -> Dict[str, object]:
+    """Merge defaults, the config file, and CLI flags into typed values."""
     parser = configparser.ConfigParser()
+    path = args.config
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -220,29 +222,17 @@ def _read_config_file(path: Optional[str]) -> configparser.ConfigParser:
         for key in parser.options(section):
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown config key '{key}' in section [{section}]")
-    return parser
-
-
-def _collect_section(
-    parser: configparser.ConfigParser, section: str, resolved: Dict[str, str]
-) -> None:
-    if not parser.has_section(section):
-        return
-    for key in parser.options(section):
-        try:
-            raw = parser.get(section, key)
-        except configparser.Error as exc:
-            # e.g. a bare '%', which interpolation reads as a reference
-            raise ConfigError(f"config key '{key}' in section [{section}]: {exc}")
-        resolved[key] = raw
-
-
-def resolve_run_config(args, command: str) -> Dict[str, object]:
-    """Merge defaults, the config file, and CLI flags into typed values."""
-    parser = _read_config_file(args.config)
+    # the raw text of both sections this command reads, before any is parsed
     overrides: Dict[str, str] = {}
-    _collect_section(parser, "system", overrides)
-    _collect_section(parser, command, overrides)
+    for section in ("system", command):
+        if not parser.has_section(section):
+            continue
+        for key in parser.options(section):
+            try:
+                overrides[key] = parser.get(section, key)
+            except configparser.Error as exc:
+                # e.g. a bare '%', which interpolation reads as a reference
+                raise ConfigError(f"config key '{key}' in section [{section}]: {exc}")
 
     units = args.units
     resolved: Dict[str, object] = {"command": command, "units": units}
@@ -297,12 +287,9 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: List[Sequence]) 
             handle.write(text)
 
 
-# the benchmark's tracer wraps these five names, so they stay until the
-# tracer drops them (ROADMAP item 1A); the last four read a Monte Carlo pass
-def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float:
-    return effective_sinr(cfg, PowerAllocation.equal_power(n=cfg.n, rho=rho, n_p=n_p))
-
-
+# the benchmark's tracer wraps these four readers of a Monte Carlo pass and
+# the imported effective_sinr_equal_power, so they stay until the tracer
+# drops them (ROADMAP item 1A)
 def simulate_willie(warden: WardenResult) -> WillieErrorRates:
     return warden.rates[0]
 
@@ -317,12 +304,6 @@ def simulate_bob_sinr(bob: BobResult) -> McEstimate:
 
 def bob_estimation_diagnostics(bob: BobResult) -> BobResult:
     return bob
-
-
-def _check_pilot_count(key: str, n_p: int, cfg: SystemConfig) -> int:
-    if not 1 <= n_p <= cfg.n - 1:
-        raise ConfigError(f"config key '{key}': must lie in [1, n-1], got {n_p}")
-    return n_p
 
 
 def _for_key(key: str, build, *args, **kwargs):
@@ -375,7 +356,7 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
     # every allocation is built, and so checked, before the first pass
     sweeps = []
     for n_p in resolved["np_values"]:
-        _check_pilot_count("np_values", n_p, cfg)
+        _for_key("np_values", _check_slot, cfg.n, n_p)
         sweeps.append(tuple(
             _for_key("eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p)
             for eta in resolved["eta_grid"]
@@ -407,11 +388,10 @@ def cmd_fig2(resolved: Dict[str, object], digest: str):
     rows = []
     for epsilon in resolved["epsilon_values"]:
         cfg = system_config(resolved, epsilon=epsilon)
-        rho = solve_rho_star(cfg).rho
-        best, _, _ = np_star(cfg, rho)
+        result = design(cfg)
         for n_p in range(1, cfg.n):
-            gamma = effective_sinr_equal_power(cfg, rho, n_p)
-            rows.append([epsilon, n_p, gamma, int(n_p == best)])
+            gamma = effective_sinr_equal_power(cfg, result.rho_star, n_p)
+            rows.append([epsilon, n_p, gamma, int(n_p == result.np_star)])
     return rows, EXIT_OK
 
 
@@ -421,16 +401,15 @@ def cmd_fig3(resolved: Dict[str, object], digest: str):
     rows = []
     for n in resolved["n_values"]:
         for epsilon in resolved["epsilon_grid"]:
-            cfg = system_config(resolved, n=n, epsilon=epsilon)
-            rho = solve_rho_star(cfg).rho
-            best, _, _ = np_star(cfg, rho)
+            best = design(system_config(resolved, n=n, epsilon=epsilon)).np_star
             rows.append([epsilon, n, best, best / n])
     return rows, EXIT_OK
 
 
 def cmd_sweep(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    n_p = _check_pilot_count("n_p", resolved["n_p"], cfg)
+    n_p = resolved["n_p"]
+    _for_key("n_p", _check_slot, cfg.n, n_p)
     lo, hi, points = resolved["rho_min"], resolved["rho_max"], resolved["rho_points"]
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("config keys 'rho_min'/'rho_max'/'rho_points': invalid grid")
@@ -453,8 +432,8 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
 
 def cmd_verify(resolved: Dict[str, object], digest: str):
     cfg = system_config(resolved)
-    rho = resolved["rho"]
-    n_p = _check_pilot_count("n_p", resolved["n_p"], cfg)
+    rho, n_p = resolved["rho"], resolved["n_p"]
+    _for_key("n_p", _check_slot, cfg.n, n_p)
     mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
     alloc = _for_key("rho", PowerAllocation.equal_power, n=cfg.n, rho=rho, n_p=n_p)
     analytic = _for_key("rho", min_detection_error, cfg, rho)

@@ -135,6 +135,11 @@ def np_continuous(cfg: SystemConfig, rho_star: float) -> float:
     return cfg.n / (1.0 + math.sqrt(1.0 + cfg.n * (lam_rho / (lam_rho + cfg.sigma_b2))))
 
 
+def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float:
+    """Effective SINR of n_p pilots and n - n_p data symbols, all at power rho."""
+    return effective_sinr(cfg, PowerAllocation.equal_power(cfg.n, rho, n_p))
+
+
 def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     """Integer pilot count maximizing the effective SINR at equal power.
 
@@ -146,11 +151,9 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     lo_limit, hi_limit = 1, cfg.n - 1
     np_floor = min(max(math.floor(x), lo_limit), hi_limit)
     np_ceil = min(max(math.ceil(x), lo_limit), hi_limit)
-
-    def gamma_eff(k: int) -> float:
-        return effective_sinr(cfg, PowerAllocation.equal_power(cfg.n, rho_star, k))
-
-    best = np_ceil if gamma_eff(np_ceil) >= gamma_eff(np_floor) else np_floor
+    gamma_ceil = effective_sinr_equal_power(cfg, rho_star, np_ceil)
+    gamma_floor = effective_sinr_equal_power(cfg, rho_star, np_floor)
+    best = np_ceil if gamma_ceil >= gamma_floor else np_floor
     return best, np_ceil, np_floor
 
 
@@ -181,12 +184,11 @@ def design(cfg: SystemConfig) -> DesignResult:
     power = solve_rho_star(cfg)
     rho_star = power.rho
     best, np_ceil, np_floor = np_star(cfg, rho_star)
-    alloc = PowerAllocation.equal_power(cfg.n, rho_star, best)
     return DesignResult(
         rho_star=rho_star,
         np_continuous=np_continuous(cfg, rho_star),
         np_star=best,
-        gamma_eff_star=effective_sinr(cfg, alloc),
+        gamma_eff_star=effective_sinr_equal_power(cfg, rho_star, best),
         xi_star_achieved=1.0 - power.margin,
         np_ceil=np_ceil,
         np_floor=np_floor,

@@ -628,7 +628,7 @@ class TestFigureCommands:
         assert main(["fig1", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert calls == []
         assert capsys.readouterr().err == (
-            "config error: config key 'np_values': must lie in [1, n-1], got 0\n"
+            "config error: config key 'np_values': n_p must lie in [1, n-1], got 0 for n=100\n"
         )
         assert not out.exists()
 

@@ -79,8 +79,8 @@ def test_removed_names_are_gone():
 
 
 def test_one_sinr_formula():
-    # the equal-power closed form is a test oracle now; the CLI keeps a
-    # helper of that name over effective_sinr for the benchmark's tracer
+    # the equal-power closed form is a test oracle now; the optimizer keeps
+    # a helper of that name over effective_sinr, which the CLI imports
     link_model = importlib.import_module("covertpilot.link_model")
     for module in (covertpilot, link_model):
         assert not hasattr(module, "effective_sinr_equal_power"), module.__name__
