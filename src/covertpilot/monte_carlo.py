@@ -230,6 +230,9 @@ def simulate_warden(
     """
     import numpy as np
 
+    # an allocation is itself a tuple, so it would pass for a tuple of its fields
+    if isinstance(allocs, PowerAllocation):
+        raise TypeError("simulate_warden takes a tuple of allocations, got one PowerAllocation")
     if not allocs:
         raise ValueError("at least one allocation is required")
     # a bare LikelihoodRatioTest() is an empty tuple, so it lands here too

@@ -145,7 +145,10 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
 
     Evaluates the effective SINR at the ceiling and floor of the
     continuous optimum (clamped into [1, n-1]) and keeps the larger, the
-    ceiling on ties.  Returns (np_star, np_ceil, np_floor).
+    ceiling on ties.  Returns (np_star, np_ceil, np_floor).  Raises
+    ValueError where either SINR is not finite, which the link model
+    reaches at an extreme lambda_ab / sigma_b2 scale: two infinite SINRs
+    would rank nothing.
     """
     x = np_continuous(cfg, rho_star)
     lo_limit, hi_limit = 1, cfg.n - 1
@@ -153,6 +156,11 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     np_ceil = min(max(math.ceil(x), lo_limit), hi_limit)
     gamma_ceil = effective_sinr_equal_power(cfg, rho_star, np_ceil)
     gamma_floor = effective_sinr_equal_power(cfg, rho_star, np_floor)
+    if not (math.isfinite(gamma_ceil) and math.isfinite(gamma_floor)):
+        raise ValueError(
+            f"effective SINR is not finite at n_p = {np_floor} or {np_ceil}: lambda_ab = "
+            f"{cfg.lambda_ab!r} and sigma_b2 = {cfg.sigma_b2!r} are beyond the link model's range"
+        )
     best = np_ceil if gamma_ceil >= gamma_floor else np_floor
     return best, np_ceil, np_floor
 

@@ -93,7 +93,12 @@ class TestConfigHandling:
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
         # [fig1] is not read by design, but its key names are still checked
         config = tmp_path / "run.ini"
-        cases = [("[system]\nnoise_floor = 1.0\n", "noise_floor"), ("[fig1]\nbogus = 1\n", "bogus")]
+        # and before any value is parsed, so a bad epsilon does not hide them
+        cases = [
+            ("[system]\nnoise_floor = 1.0\n", "noise_floor"),
+            ("[fig1]\nbogus = 1\n", "bogus"),
+            ("[system]\nepsilon = 1.5\n[fig1]\nbogus = 1\n", "bogus"),
+        ]
         for text, key in cases:
             config.write_text(text)
             assert main(["design", "--config", str(config)]) == EXIT_CONFIG
@@ -323,6 +328,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "'epsilon' in section [system]" in err
         assert "Traceback" not in err
+        # every raw value is read before any is parsed
+        config.write_text("[system]\nn = abc\nepsilon = 10%\n")
+        assert main(["design", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'epsilon' in section [system]" in err
+        assert "cannot parse" not in err
+        # a command reads the values of [system] and its own section only
+        config.write_text("[fig1]\nrho = 10%\n")
+        assert main(["design", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert main(["fig1", "--config", str(config)]) == EXIT_CONFIG
+        assert "'rho' in section [fig1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text,section",
@@ -507,6 +524,22 @@ class TestDesignCommand:
             values[eps] = column(header, rows, "np_star", int)[0]
         assert values["0.05"] >= values["0.2"]
 
+    @pytest.mark.parametrize("command", ["design", "fig2", "fig3"])
+    def test_non_finite_sinr_is_refused(self, tmp_path, capsys, command):
+        # the closed-form SINR overflows from about lambda_ab = 1e155 here
+        config = tmp_path / "run.ini"
+        for lambda_ab, code in (("1e154", EXIT_OK), ("1e156", EXIT_CONFIG), ("1e160", EXIT_CONFIG)):
+            config.write_text(f"[system]\nlambda_ab = {lambda_ab}\n")
+            assert main([command, "--config", str(config)]) == code
+            captured = capsys.readouterr()
+            if code == EXIT_OK:
+                assert captured.err == ""
+                assert "inf" not in captured.out
+            else:
+                assert captured.err.startswith("config error: ")
+                assert "lambda_ab" in captured.err
+                assert captured.out == ""
+
 
 # SHA-256 of each command's CSV on the default and the README configs, and
 # of design's printed summary; a stated CSV change updates these digests
@@ -561,6 +594,19 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_module_entry_point_returns_the_exit_code(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(covertpilot.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for args, code in ((["design"], EXIT_OK), (["verify", "--trials", "10"], EXIT_BUDGET)):
+        result = subprocess.run(
+            [sys.executable, "-m", "covertpilot", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if code == EXIT_OK:
+            assert result.stdout.startswith("covert design for n=100")
 
 
 def test_design_loads_neither_dataclasses_nor_inspect(tmp_path):

@@ -543,6 +543,13 @@ class TestLinearTest:
             with pytest.raises(ValueError, match="at least one detector"):
                 simulate_warden(make_cfg(n=100), (alloc,), mc, detectors)
 
+    def test_one_allocation_in_place_of_a_tuple_is_refused(self):
+        # an allocation is itself a tuple, of (n, n_p, rho_p, rho_d)
+        alloc = PowerAllocation.split(n=100, rho=0.05, eta=0.5, n_p=20)
+        mc = McConfig(trials=1000, seed=1)
+        with pytest.raises(TypeError, match="tuple of allocations"):
+            simulate_warden(make_cfg(n=100), alloc, mc, (LikelihoodRatioTest(),))
+
 
 def eta_sweep(n_p):
     """The default fig1 allocations of one pilot count at n = 100."""

@@ -166,6 +166,11 @@ class TestIntegerPilotCount:
         best, np_ceil, np_floor = np_star(cfg, 3.0)
         assert best == np_ceil == np_floor == 1
 
+    def test_non_finite_sinr_is_refused(self):
+        # rho_d lambda^2 n_p rho_p overflows here, so both candidates read inf
+        with pytest.raises(ValueError, match="lambda_ab = 1e\\+156 and sigma_b2 = 1.0"):
+            np_star(make_cfg(lam=1e156), 0.025)
+
 
 class TestPilotSensitivity:
     def test_always_negative(self):
