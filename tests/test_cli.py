@@ -91,9 +91,9 @@ class TestUnitConversion:
 
 class TestConfigHandling:
     def test_unknown_key_is_a_config_error(self, tmp_path, capsys):
-        # [fig1] is not read by design, but its key names are still checked
-        config = tmp_path / "run.ini"
+        # [fig1] is not read by design, but its key names are still checked,
         # and before any value is parsed, so a bad epsilon does not hide them
+        config = tmp_path / "run.ini"
         cases = [
             ("[system]\nnoise_floor = 1.0\n", "noise_floor"),
             ("[fig1]\nbogus = 1\n", "bogus"),
