@@ -250,8 +250,7 @@ def resolve_run_config(args, command: str) -> Dict[str, object]:
         if "trials" not in _SECTIONS[command]:
             raise ConfigError(f"--{flag}: '{command}' runs no Monte Carlo trials")
         resolved[flag] = value
-    # McConfig's range, checked for every command; fig1 hands the seed to
-    # SeedSequence, which takes any nonnegative integer, to key its passes
+    # McConfig's range, checked for every command
     if not 0 <= resolved["seed"] < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {resolved['seed']}")
     return resolved
@@ -346,34 +345,28 @@ def cmd_design(resolved: Dict[str, object], digest: str):
 
 
 def cmd_fig1(resolved: Dict[str, object], digest: str):
-    # fig1 draws, so it loads numpy in any case
-    from numpy.random import SeedSequence
-
     cfg = system_config(resolved)
     rho = resolved["rho"]
     if not rho >= 0:
         raise ConfigError(f"config key 'rho': must be nonnegative, got {rho}")
-    # every allocation is built, and so checked, before the first pass
-    sweeps = []
+    # every allocation is built, and so checked, before the pass
+    etas, allocs = [], []
     for n_p in resolved["np_values"]:
         _for_key("np_values", _check_slot, cfg.n, n_p)
-        sweeps.append(tuple(
-            _for_key("eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p)
-            for eta in resolved["eta_grid"]
-        ))
+        for eta in resolved["eta_grid"]:
+            etas.append(eta)
+            allocs.append(
+                _for_key("eta_grid", PowerAllocation.split, n=cfg.n, rho=rho, eta=eta, n_p=n_p)
+            )
+    # one pass for every row: each pilot count reads its segments from the
+    # same slots, so differences across eta and n_p are precise
+    mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
+    wardens = simulate_warden(cfg, tuple(allocs), mc, (LikelihoodRatioTest(),))
     rows = []
-    for index, allocs in enumerate(sweeps):
-        # one pass per pilot count, on a seed keyed by (seed, index) as the
-        # chunks are keyed, so passes of neighbouring seeds share no stream;
-        # its rows share the draws, so differences across eta are precise
-        pass_seed = SeedSequence(resolved["seed"], spawn_key=(index,))
-        seed = int(pass_seed.generate_state(1, "uint64")[0])
-        mc = McConfig(trials=resolved["trials"], seed=seed)
-        wardens = simulate_warden(cfg, allocs, mc, (LikelihoodRatioTest(),))
-        for eta, alloc, warden in zip(resolved["eta_grid"], allocs, wardens):
-            rates = simulate_willie(warden)
-            bound = covertness_lower_bound(kl_divergence(cfg, alloc))
-            rows.append([eta, alloc.n_p, rates.xi.value, rates.xi.std_err, bound])
+    for eta, alloc, warden in zip(etas, allocs, wardens):
+        rates = simulate_willie(warden)
+        bound = covertness_lower_bound(kl_divergence(cfg, alloc))
+        rows.append([eta, alloc.n_p, rates.xi.value, rates.xi.std_err, bound])
     return rows, EXIT_OK
 
 

@@ -8,8 +8,12 @@ and G_d ~ Gamma(n_d) directly.  Under either hypothesis each detector
 decides H1 where a_p G_p + a_d G_d > t, one linear test per detector
 and hypothesis whose coefficients carry sigma_w2 and the segment
 powers, so one draw per trial serves both hypotheses and every power
-split of one pilot count.  When every split is at equal power, where
-both detectors weigh the segments alike, the draw is a single Gamma(n)
+split.  The energies of one slot serve every pilot count at once: for
+counts m_1 < ... < m_K the slot is cut into K + 1 runs of symbols, whose
+unit energies Gamma(m_1), Gamma(m_2 - m_1), ..., Gamma(n - m_K) are
+drawn in that order, and count m_k reads the sum of the first k as G_p
+and of the rest as G_d.  When every split is at equal power, where both
+detectors weigh the segments alike, the draw is a single Gamma(n)
 total.  One pass over the warden stream builds every allocation's
 tests, evaluates them on buffers allocated once per pass, and feeds
 both the error rates and the detector disagreement count.
@@ -34,9 +38,13 @@ domain, chunk) share a state; as one flat entropy list they can (seed
 exact integers, and Bob's moments by numpy's pairwise sum in chunk
 order (no BLAS call, whose order varies with the build and thread
 count), so estimates are bit-identical for a given (seed, config).
-An allocation's warden estimates do not depend on the others in its
-pass, except that a pass with an unequal-power allocation draws the two
-segments rather than the total.
+An allocation's warden estimates depend on the others in its pass only
+through the pass's pilot counts, which set how the slot is cut, and
+through whether any allocation is at unequal power, which makes the
+pass draw the segments rather than the total; a pass of one pilot count
+draws Gamma(n_p) and then Gamma(n_d).  The estimates of every allocation
+in a pass, of any pilot counts, read the same slots and so are
+positively correlated.
 
 numpy is imported by the functions that draw, not by the module, so the
 closed-form commands never load it.
@@ -45,7 +53,7 @@ closed-form commands never load it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
 
@@ -189,21 +197,41 @@ def _draw_segment_energies(
     allocs: Tuple[PowerAllocation, ...],
     energies: np.ndarray,
     size: int,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Unit (pilot, data) segment energies for `size` trials of every allocation in `allocs`.
+) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """Unit (pilot, data) segment energies for `size` trials, per pilot count of `allocs`.
 
-    G_p ~ Gamma(n_p) and G_d ~ Gamma(n_d) are drawn in that order into the
-    first `size` columns of the two rows of `energies`.  No power or noise
-    enters them, so one draw serves both hypotheses and every allocation
-    of a shared n_p (common random numbers).  When every allocation is at
-    equal power both tests weigh the segments alike, so one Gamma(n) draw
-    of the total stands for G_p + G_d, returned as (G, None).
+    For the distinct counts m_1 < ... < m_K the unit energies of the K + 1
+    runs of symbols they cut the slot into, Gamma(m_1), Gamma(m_2 - m_1),
+    ..., Gamma(n - m_K), are drawn in that order.  Count m_k reads
+    G_p = the sum of the first k, added in ascending order, and G_d = the
+    sum of the rest, added in descending order, each a row of the first
+    `size` columns of `energies`, which has 2 K rows.  With K = 1 that is
+    G_p ~ Gamma(n_p) drawn before G_d ~ Gamma(n_d).  No power or noise
+    enters the draws, so they serve both hypotheses and every allocation
+    (common random numbers).  When every allocation is at equal power both
+    tests weigh the segments alike, so one Gamma(n) draw of the total
+    stands for G_p + G_d at every count, as (G, None).
     """
-    pilot, data = energies[:, :size]
+    import numpy as np
+
+    counts = sorted({alloc.n_p for alloc in allocs})
     if all(alloc.is_equal_power() for alloc in allocs):
-        return rng.standard_gamma(cfg.n, out=pilot), None
-    rng.standard_gamma(allocs[0].n_p, out=pilot)
-    return pilot, rng.standard_gamma(allocs[0].n_d, out=data)
+        total = rng.standard_gamma(cfg.n, out=energies[0, :size])
+        return {count: (total, None) for count in counts}
+    last = len(counts) - 1
+    pilots, data = energies[: last + 1, :size], energies[last + 1 :, :size]
+    # the first run is m_1's pilot row and the last m_K's data row; the
+    # run between m_k and m_k+1 waits in data row k - 1 until both sums
+    # have read it
+    rng.standard_gamma(counts[0], out=pilots[0])
+    for k in range(1, last + 1):
+        rng.standard_gamma(counts[k] - counts[k - 1], out=data[k - 1])
+    rng.standard_gamma(cfg.n - counts[-1], out=data[last])
+    for k in range(1, last + 1):
+        np.add(pilots[k - 1], data[k - 1], out=pilots[k])
+    for k in range(last - 1, -1, -1):
+        np.add(data[k], data[k + 1], out=data[k])
+    return {count: (pilots[k], data[k]) for k, count in enumerate(counts)}
 
 
 def simulate_warden(
@@ -216,17 +244,20 @@ def simulate_warden(
 
     One pass over the warden substreams runs mc.trials slots under each
     hypothesis.  Each chunk is drawn once for all the allocations, which
-    must share n and n_p, and every allocation applies every detector to
-    the same samples, so the disagreement count comes from exactly the
-    samples that produced the rates, and the estimates of two allocations
-    are positively correlated (common random numbers), which makes their
-    differences precise.  Every decision is one linear test on the unit
-    draws, built by _linear_test before the first draw.  Per detector,
+    must share n and may differ in n_p: every pilot count reads its own
+    segment energies from the same slots (see _draw_segment_energies).
+    Every allocation applies every detector to its count's samples, so
+    the disagreement count comes from exactly the samples that produced
+    the rates, and the estimates of any two allocations are positively
+    correlated (common random numbers), which makes their differences
+    precise.  Every decision is one linear test on the unit draws, built
+    by _linear_test before the first draw.  Per detector,
     xi = alpha + beta.  The two hypotheses share the draw and the
     threshold, and a test's H1 coefficients are never below its H0 ones,
     which are nonnegative, in floating point at any scale, so a false
     alarm and a miss never fall on one trial: xi is a binomial
-    proportion at any power split.
+    proportion at any power split.  The pass holds two rows of
+    CHUNK_TRIALS doubles per distinct pilot count.
     """
     import numpy as np
 
@@ -240,10 +271,6 @@ def simulate_warden(
         raise ValueError("at least one detector is required")
     for alloc in allocs:
         _check_alloc(cfg, alloc)
-        if alloc.n_p != allocs[0].n_p:
-            raise ValueError(
-                f"allocations must share n_p, got {allocs[0].n_p} and {alloc.n_p}"
-            )
     # per allocation and hypothesis: one (a_p, a_d, t) per detector
     tests = [
         [[_linear_test(d, cfg, alloc, hypothesis) for d in detectors] for hypothesis in (0, 1)]
@@ -252,14 +279,18 @@ def simulate_warden(
     # per allocation and detector: (false alarms, misses)
     errors = [[[0, 0] for _ in detectors] for _ in allocs]
     disagreements = [0] * len(allocs)
-    # the unit (pilot, data) draws, two work rows and one decision row per detector
-    energies, work = np.empty((2, CHUNK_TRIALS)), np.empty((2, CHUNK_TRIALS))
+    # the unit (pilot, data) draws of each pilot count, two work rows and
+    # one decision row per detector
+    pilot_counts = len({alloc.n_p for alloc in allocs})
+    energies = np.empty((2 * pilot_counts, CHUNK_TRIALS))
+    work = np.empty((2, CHUNK_TRIALS))
     decided = np.empty((len(detectors), CHUNK_TRIALS), dtype=bool)
     for chunk, size in _chunks(mc.trials):
         rng = _stream(mc.seed, _DOMAIN_WILLIE, chunk)
-        pilot, data = _draw_segment_energies(rng, cfg, allocs, energies, size)
+        draws = _draw_segment_energies(rng, cfg, allocs, energies, size)
         stat, spare = work[:, :size]
-        for index, alloc_tests in enumerate(tests):
+        for index, (alloc, alloc_tests) in enumerate(zip(allocs, tests)):
+            pilot, data = draws[alloc.n_p]
             for hypothesis, hypothesis_tests in enumerate(alloc_tests):
                 for (a_p, a_d, t), row, counts in zip(hypothesis_tests, decided, errors[index]):
                     np.multiply(pilot, a_p, out=stat)

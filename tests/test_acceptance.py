@@ -51,15 +51,18 @@ def test_criterion_1_equal_power_maximizes_warden_error():
         cfg = make_cfg(n=100)
         rho = 0.05
         etas = [round(0.05 * k, 2) for k in range(1, 20)]
-        for j, n_p in enumerate((20, 50)):
+        sweeps = {
+            n_p: tuple(PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p) for eta in etas)
+            for n_p in (20, 50)
+        }
+        # one pass for both pilot counts, as fig1 makes
+        mc = McConfig(trials=100_000, seed=1000)
+        wardens = iter(
+            simulate_warden(cfg, sum(sweeps.values(), ()), mc, (LikelihoodRatioTest(),))
+        )
+        for n_p, allocs in sweeps.items():
             eta_equal = (cfg.n - n_p) / cfg.n
-            allocs = tuple(
-                PowerAllocation.split(n=cfg.n, rho=rho, eta=eta, n_p=n_p) for eta in etas
-            )
-            # one shared pass per pilot count, as fig1 makes
-            mc = McConfig(trials=100_000, seed=1000 + j)
-            wardens = simulate_warden(cfg, allocs, mc, (LikelihoodRatioTest(),))
-            xi_mc = [warden.rates[0].xi.value for warden in wardens]
+            xi_mc = [next(wardens).rates[0].xi.value for _ in allocs]
             bound = [covertness_lower_bound(kl_divergence(cfg, alloc)) for alloc in allocs]
             mc_peak = etas[int(np.argmax(xi_mc))]
             bound_peak = etas[int(np.argmax(bound))]

@@ -148,7 +148,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize("seed,code", [(-1, EXIT_CONFIG), (2**64, EXIT_CONFIG),
                                            (2**64 - 1, EXIT_OK)])
     def test_seed_must_be_unsigned_64_bit(self, tmp_path, capsys, command, seed, code):
-        # fig1 keys its rows by SeedSequence, which takes any seed >= 0
         config = tmp_path / "run.ini"
         config.write_text(
             f"[system]\nseed = {seed}\n[fig1]\nnp_values = 20\neta_grid = 0.5\n"
@@ -546,14 +545,14 @@ class TestDesignCommand:
 GOLDEN = {
     ("default", "design"): "26f1079e0d1c38de30b7319cdb97706a691918729cc050d3f264be377a490288",
     ("default", "design stdout"): "693b5305895d900c1fba5983255e5abb9727d993f2e2d976359cbe43debde6cc",
-    ("default", "fig1"): "643077e5d3809f5f1d1b6f7600486a11f3f82932ffd5a2226e6def04d5fdba5e",
+    ("default", "fig1"): "28c3814c7ab63b1449acd86517173c59e46b8583e7a7b535a2ec0f7e0fcb8829",
     ("default", "fig2"): "3b3517da64782c9420e18d4f919043452dd8e42cd292514c94be244c314489c0",
     ("default", "fig3"): "aa914232d041900e6d3fcd02ef6be066460a8ebe6d32138f138116bb439d2c9c",
     ("default", "sweep"): "46a65778406405ab055b782f4ecc0b49b664804a4681ed0daa0d3f4aff1e7fa1",
     ("default", "verify"): "2c9dc08752282b255f7009a7b963432c9b1799c4df0af5119ce775ac3b62f5e6",
     ("readme", "design"): "9cb47b5153c8de97de58cbd1c0eb9bf6a091cb1b5dd81d511a06e3e6365e9f3b",
     ("readme", "design stdout"): "6cb8584e2de1aad7803c439f511b1b65b24cc28ebfa73d28748b8da898221ea2",
-    ("readme", "fig1"): "9f389df5bfababdfdd1e11568b0188e37f3f026c6ef1bd0e02af42a9d6993fb3",
+    ("readme", "fig1"): "707c317444497baede2108876c993bcb84c330ee225212ed1b24cd8b3bbf789d",
     ("readme", "fig2"): "ca80aab97fb23ba011e6ce8959aab96641c3186693c51bc1537cc17b2d02ae31",
     ("readme", "fig3"): "45507c2c6d7a2f09a926deaa9c5c1b37de314b5a14065c00779997d28001fda1",
     ("readme", "sweep"): "bd9e3cba0c873db1f7542c982a6423d6dd8aab76b54466ffe609e27e54ef1b1f",
@@ -644,11 +643,11 @@ class TestFigureCommands:
         ):
             assert bound <= xi + 3.0 * se
 
-    def test_fig1_rows_of_neighbouring_seeds_share_no_stream(self, tmp_path):
-        # one pass per pilot count, and here one row per pass: two equal
-        # passes, so pass 1 at seed 5 and pass 0 at seed 6 differ only by their streams
+    def test_fig1_duplicate_pilot_counts_read_the_same_draws(self, tmp_path):
+        # one pass for every row: a pilot count given twice reads the same
+        # segments, while another seed draws other slots
         config = tmp_path / "run.ini"
-        config.write_text("[fig1]\nnp_values = 20, 20\neta_grid = 0.5\ntrials = 2000\n")
+        config.write_text("[fig1]\nnp_values = 20, 50, 20\neta_grid = 0.3, 0.6\ntrials = 2000\n")
         outputs = {}
         for seed, run in ((5, "a"), (6, "a"), (5, "b")):
             out = tmp_path / f"fig1-{seed}-{run}.csv"
@@ -658,10 +657,9 @@ class TestFigureCommands:
         assert outputs[5, "a"] == outputs[5, "b"]
         header, rows_5 = read_csv(tmp_path / "fig1-5-a.csv")
         _, rows_6 = read_csv(tmp_path / "fig1-6-a.csv")
-        xi_5 = column(header, rows_5, "xi_lrt")
-        xi_6 = column(header, rows_6, "xi_lrt")
-        assert xi_5[0] != xi_5[1]
-        assert xi_5[1] != xi_6[0]
+        assert column(header, rows_5, "n_p", int) == [20, 20, 50, 50, 20, 20]
+        assert rows_5[:2] == rows_5[4:]
+        assert column(header, rows_5, "xi_lrt") != column(header, rows_6, "xi_lrt")
 
     def test_fig1_checks_every_allocation_before_the_first_pass(
         self, tmp_path, capsys, monkeypatch

@@ -75,11 +75,17 @@ def bob_rows(cfg, alloc, seed, chunk, size):
     return hat_a * r + w_b * c, w_b * d, err_a * r - w_b * c, -(w_b * d)
 
 
-def warden_draws(seed, chunk, cfg, allocs, size):
-    """The unit energies of one warden chunk, drawn by the pass's helper into a fresh buffer."""
+def segment_draws(seed, chunk, cfg, allocs, size):
+    """Per pilot count, the unit energies of one warden chunk, drawn by the pass's helper."""
     rng = monte_carlo._stream(seed, 1, chunk)
-    energies = np.empty((2, CHUNK_TRIALS))
+    energies = np.empty((2 * len({alloc.n_p for alloc in allocs}), CHUNK_TRIALS))
     return monte_carlo._draw_segment_energies(rng, cfg, allocs, energies, size)
+
+
+def warden_draws(seed, chunk, cfg, allocs, size):
+    """The unit (pilot, data) energies of one warden chunk of allocations of one pilot count."""
+    (draws,) = segment_draws(seed, chunk, cfg, allocs, size).values()
+    return draws
 
 
 def decides_h1(detector, cfg, alloc, hypothesis, draws):
@@ -343,6 +349,29 @@ class TestExactLrtError:
             deviation = float(row["xi_lrt"]) - exact_lrt_xi(cfg, alloc)
             assert abs(deviation) <= 4.0 * float(row["xi_lrt_stderr"]), row
 
+    def test_one_fig1_pass_over_two_pilot_counts_lies_within_five_sigma_of_exact(self, tmp_path):
+        # both pilot counts read one pass, at three seeds
+        config = tmp_path / "run.ini"
+        config.write_text("[fig1]\nnp_values = 20, 50\n")
+        cfg = make_cfg(n=100)
+        exact = {}
+        for seed in (1, 2, 3):
+            out = tmp_path / f"fig1-{seed}.csv"
+            flags = ["--config", str(config), "--seed", str(seed), "--out", str(out)]
+            assert cli.main(["fig1", *flags]) == cli.EXIT_OK
+            lines = out.read_text().splitlines()
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            assert sorted({int(row["n_p"]) for row in rows}) == [20, 50]
+            for row in rows:
+                key = (float(row["eta"]), int(row["n_p"]))
+                if key not in exact:
+                    alloc = PowerAllocation.split(n=100, rho=0.05, eta=key[0], n_p=key[1])
+                    exact[key] = exact_lrt_xi(cfg, alloc)
+                deviation = float(row["xi_lrt"]) - exact[key]
+                assert abs(deviation) <= 5.0 * float(row["xi_lrt_stderr"]), (seed, row)
+        assert len(exact) == 38
+
     @pytest.mark.parametrize("n,n_p", [(100, 20), (100, 50), (1000, 300), (10_000, 2000)])
     def test_exact_error_peaks_at_equal_power(self, n, n_p):
         # eta = n_d / n and ten steps of 0.01 either side, at rho = 0.5 / sqrt(n)
@@ -558,6 +587,43 @@ def eta_sweep(n_p):
     )
 
 
+class TestPilotCountIncrements:
+    """For counts m_1 < ... < m_K the pass draws the K + 1 runs of the slot in order."""
+
+    COUNTS = (10, 35, 60)
+
+    def allocs(self):
+        return tuple(PowerAllocation.split(n=100, rho=0.05, eta=0.5, n_p=m) for m in self.COUNTS)
+
+    def test_counts_read_prefix_and_suffix_sums_of_the_runs(self):
+        cfg = make_cfg(n=100)
+        draws = segment_draws(7, 3, cfg, self.allocs()[::-1], 1000)
+        rng = monte_carlo._stream(7, 1, 3)
+        runs = [rng.standard_gamma(shape, 1000) for shape in (10, 25, 25, 40)]
+        pilots = [runs[0], runs[0] + runs[1], (runs[0] + runs[1]) + runs[2]]
+        data = [runs[1] + (runs[2] + runs[3]), runs[2] + runs[3], runs[3]]
+        assert sorted(draws) == list(self.COUNTS)
+        for m, pilot, datum in zip(self.COUNTS, pilots, data):
+            assert np.array_equal(draws[m][0], pilot) and np.array_equal(draws[m][1], datum), m
+
+    def test_each_count_sees_gamma_segments(self):
+        stats = pytest.importorskip("scipy.stats")
+        cfg = make_cfg(n=100)
+        draws = segment_draws(11, 0, cfg, self.allocs(), CHUNK_TRIALS)
+        for m in self.COUNTS:
+            pilot, data = draws[m]
+            assert stats.kstest(pilot, stats.gamma(m).cdf).pvalue > 1e-3, m
+            assert stats.kstest(data, stats.gamma(100 - m).cdf).pvalue > 1e-3, m
+
+    def test_an_equal_power_pass_draws_one_total_for_every_count(self):
+        cfg = make_cfg(n=100)
+        allocs = tuple(PowerAllocation.equal_power(n=100, rho=0.05, n_p=m) for m in self.COUNTS)
+        draws = segment_draws(7, 3, cfg, allocs, 1000)
+        total = monte_carlo._stream(7, 1, 3).standard_gamma(100, 1000)
+        for m in self.COUNTS:
+            assert np.array_equal(draws[m][0], total) and draws[m][1] is None, m
+
+
 class TestSweepPass:
     DETECTORS = (LikelihoodRatioTest(), Radiometer(threshold=1.02))
 
@@ -584,10 +650,47 @@ class TestSweepPass:
             simulate_warden(cfg, (alloc,), mc, self.DETECTORS)[0] for alloc in allocs
         )
 
-    def test_allocations_must_share_n_p(self):
-        allocs = eta_sweep(20)[:2] + eta_sweep(50)[:1]
-        with pytest.raises(ValueError, match="allocations must share n_p, got 20 and 50"):
-            simulate_warden(make_cfg(n=100), allocs, McConfig(trials=1000, seed=1), self.DETECTORS)
+    def test_one_pilot_count_draws_pilot_then_data(self):
+        # a one-count pass reads Gamma(n_p) and then Gamma(n_d) from each chunk's stream
+        cfg = make_cfg(n=100)
+        mc = McConfig(trials=40_000, seed=71)
+        allocs = eta_sweep(20)
+        wardens = simulate_warden(cfg, allocs, mc, self.DETECTORS)
+        errors = {(index, k): [0, 0] for index in range(len(allocs)) for k in range(2)}
+        for chunk, size in monte_carlo._chunks(mc.trials):
+            rng = monte_carlo._stream(mc.seed, 1, chunk)
+            draws = (rng.standard_gamma(20, size), rng.standard_gamma(80, size))
+            for (index, k), counts in errors.items():
+                detector = self.DETECTORS[k]
+                counts[0] += int(np.count_nonzero(decides_h1(detector, cfg, allocs[index], 0, draws)))
+                counts[1] += int(np.count_nonzero(~decides_h1(detector, cfg, allocs[index], 1, draws)))
+        for (index, k), (false_alarms, missed) in errors.items():
+            rates = wardens[index].rates[k]
+            assert (rates.alpha.value, rates.beta.value) == (
+                false_alarms / mc.trials, missed / mc.trials
+            ), (index, k)
+
+    def test_allocations_of_any_pilot_counts_share_one_pass(self):
+        # each row reads its own count's segments of the shared slots, in any order given
+        cfg = make_cfg(n=100)
+        mc = McConfig(trials=40_000, seed=79)
+        allocs = eta_sweep(50)[::6] + eta_sweep(20)[::6] + eta_sweep(35)[::6]
+        wardens = simulate_warden(cfg, allocs, mc, self.DETECTORS)
+        errors = [[[0, 0] for _ in self.DETECTORS] for _ in allocs]
+        for chunk, size in monte_carlo._chunks(mc.trials):
+            draws = segment_draws(mc.seed, chunk, cfg, allocs, size)
+            for alloc, alloc_errors in zip(allocs, errors):
+                for detector, counts in zip(self.DETECTORS, alloc_errors):
+                    pair = draws[alloc.n_p]
+                    counts[0] += int(np.count_nonzero(decides_h1(detector, cfg, alloc, 0, pair)))
+                    counts[1] += int(np.count_nonzero(~decides_h1(detector, cfg, alloc, 1, pair)))
+        for warden, alloc_errors in zip(wardens, errors):
+            assert [(r.alpha.value, r.beta.value) for r in warden.rates] == [
+                (false_alarms / mc.trials, missed / mc.trials)
+                for false_alarms, missed in alloc_errors
+            ]
+        reordered = simulate_warden(cfg, allocs[::-1], mc, self.DETECTORS)
+        assert reordered == wardens[::-1]
 
     def test_allocations_must_share_n(self):
         allocs = (
