@@ -43,7 +43,7 @@ from .monte_carlo import (
     simulate_bob,
     simulate_warden,
 )
-from .optimizer import SolverError, design, effective_sinr_equal_power
+from .optimizer import SolverError, _sinr_out_of_range, design, effective_sinr_equal_power
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -416,6 +416,9 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
         rho = lo + (hi - lo) * i / (points - 1)
         report = min_detection_error(cfg, rho)
         gamma = effective_sinr_equal_power(cfg, rho, n_p)
+        # the link model overflows from about lambda_ab = 1e154 (ROADMAP item 14)
+        if not math.isfinite(gamma):
+            raise _sinr_out_of_range(cfg, f"rho = {rho!r}, n_p = {n_p}")
         rows.append([
             rho, report.d01, report.xi_lower_bound, report.tau_star,
             report.alpha, report.beta, report.xi_star, gamma,

@@ -11,6 +11,7 @@ concern.
 
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 # pilot and data powers within this fraction of the larger count as equal:
@@ -41,6 +42,9 @@ class SystemConfig(_SystemConfigFields):
     sigma_w2    noise variance at the warden
     epsilon     covertness parameter in (0, 1); the warden's minimum
                 detection error probability must stay >= 1 - epsilon
+
+    The three scales must be normal doubles: positive, finite and not
+    subnormal.
     """
 
     __slots__ = ()
@@ -50,8 +54,12 @@ class SystemConfig(_SystemConfigFields):
             raise ValueError(f"n must be an integer >= 2, got {n!r}")
         for name, value in (("lambda_ab", lambda_ab), ("sigma_b2", sigma_b2),
                             ("sigma_w2", sigma_w2)):
-            if not (0 < value < math.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            # a subnormal scale has lost digits before any formula reads it
+            if not (sys.float_info.min <= value < math.inf):
+                raise ValueError(
+                    f"{name} must be positive, finite and at least the smallest normal "
+                    f"double {sys.float_info.min!r}, got {value!r}"
+                )
         if not (0.0 < epsilon < 1.0):
             raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
         return tuple.__new__(cls, (n, lambda_ab, sigma_b2, sigma_w2, epsilon))

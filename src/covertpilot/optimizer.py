@@ -15,6 +15,7 @@ below by Pinsker's inequality.
 """
 
 import math
+import sys
 from typing import NamedTuple, Tuple
 
 from .detection import covert_margin
@@ -87,7 +88,9 @@ def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
     bisects it instead.  The lower end s = 2 epsilon / sqrt(n) is
     certified by Pinsker's inequality, since the divergence is below
     n s^2 / 2.  Returns rho* = s* sigma_w2 with V(s*) and the number of
-    covert_margin evaluations.
+    covert_margin evaluations.  Raises ValueError where rho* is not a
+    normal double, naming sigma_w2 and epsilon: a subnormal rho* is s*
+    sigma_w2 rounded on a coarser grid, which can break V <= epsilon.
     """
     n, epsilon = cfg.n, cfg.epsilon
     log_eps = math.log(epsilon)
@@ -100,7 +103,15 @@ def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
         margin, slope = covert_margin(n, s)
         residual = margin / epsilon - 1.0
         if -MARGIN_REL_TOL <= residual <= 0.0:
-            return PowerSolve(rho=s * cfg.sigma_w2, margin=margin, iterations=iteration)
+            rho = s * cfg.sigma_w2
+            # off the normal range rho rounds to a power whose margin is not V(s)
+            if not (sys.float_info.min <= rho < math.inf):
+                raise ValueError(
+                    f"covert power rho* = s* sigma_w2 = {s!r} * {cfg.sigma_w2!r} is not a normal "
+                    f"double: sigma_w2 = {cfg.sigma_w2!r} is out of range for "
+                    f"epsilon = {epsilon!r} at n = {n}"
+                )
+            return PowerSolve(rho=rho, margin=margin, iterations=iteration)
         if residual < 0.0:
             t_lo = max(t_lo, t)
         else:
@@ -140,6 +151,14 @@ def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float
     return effective_sinr(cfg, PowerAllocation.equal_power(cfg.n, rho, n_p))
 
 
+def _sinr_out_of_range(cfg: SystemConfig, where: str) -> ValueError:
+    """The refusal of an effective SINR that is not finite at `where`."""
+    return ValueError(
+        f"effective SINR is not finite at {where}: lambda_ab = {cfg.lambda_ab!r} "
+        f"and sigma_b2 = {cfg.sigma_b2!r} are beyond the link model's range"
+    )
+
+
 def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     """Integer pilot count maximizing the effective SINR at equal power.
 
@@ -157,10 +176,7 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     gamma_ceil = effective_sinr_equal_power(cfg, rho_star, np_ceil)
     gamma_floor = effective_sinr_equal_power(cfg, rho_star, np_floor)
     if not (math.isfinite(gamma_ceil) and math.isfinite(gamma_floor)):
-        raise ValueError(
-            f"effective SINR is not finite at n_p = {np_floor} or {np_ceil}: lambda_ab = "
-            f"{cfg.lambda_ab!r} and sigma_b2 = {cfg.sigma_b2!r} are beyond the link model's range"
-        )
+        raise _sinr_out_of_range(cfg, f"n_p = {np_floor} or {np_ceil}")
     best = np_ceil if gamma_ceil >= gamma_floor else np_floor
     return best, np_ceil, np_floor
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,57 @@ class TestDesignCommand:
                 assert captured.err.startswith("config error: ")
                 assert "lambda_ab" in captured.err
                 assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "text,keys",
+        [
+            ("sigma_w2 = 1e-310", ("sigma_w2",)),
+            ("sigma_w2 = -3100 dBm", ("sigma_w2",)),
+            ("sigma_b2 = -3100 dBm", ("sigma_b2",)),
+            ("lambda_ab = 1e-310", ("lambda_ab",)),
+            ("sigma_w2 = 1e-318", ("sigma_w2",)),
+            ("lambda_ab = 1e-318", ("lambda_ab",)),
+            ("sigma_w2 = 1e-306\nepsilon = 1e-9", ("sigma_w2", "epsilon")),
+        ],
+    )
+    def test_subnormal_scale_is_refused(self, tmp_path, capsys, text, keys):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\n{text}\n")
+        out = tmp_path / "design.csv"
+        assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert all(key in captured.err for key in keys)
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_smallest_accepted_power_keeps_the_covert_margin(self, tmp_path):
+        # rho* = 2.5e-300 is a normal double, so it rounds by half an ulp at most
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nsigma_w2 = 1e-290\nepsilon = 1e-9\n")
+        out = tmp_path / "design.csv"
+        assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        rho_star = column(header, rows, "rho_star")[0]
+        snr = float(Fraction(rho_star) / Fraction(1e-290))
+        assert covert_margin(100, snr)[0] <= 1e-9 * (1.0 + 1e-15)
+
+    def test_sweep_refuses_a_non_finite_sinr(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nlambda_ab = 1e154\n")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: effective SINR is not finite at rho = ")
+        assert "lambda_ab = 1e+154 and sigma_b2 = 1.0" in err
+        assert not out.exists()
+        # the last scale before the overflow keeps its bytes
+        config.write_text("[system]\nlambda_ab = 1e150\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c9773944c60f5c2e316451ef890ed574d82d5f5ad531c20f2de6e10f11db3feb"
+        )
 
 
 # SHA-256 of each command's CSV on the default and the README configs, and

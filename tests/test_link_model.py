@@ -1,6 +1,7 @@
 """Tests for the Alice-Bob link analytics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestConfigValidation:
     def test_non_finite_value_names_field(self, arg, field, value):
         with pytest.raises(ValueError, match=field):
             make_cfg(**{arg: value})
+
+    @pytest.mark.parametrize(
+        "arg,field", [("lam", "lambda_ab"), ("sb2", "sigma_b2"), ("sw2", "sigma_w2")]
+    )
+    def test_subnormal_scale_names_field(self, arg, field):
+        for value in (1e-310, 5e-324, sys.float_info.min * (1.0 - 2.0**-52)):
+            with pytest.raises(ValueError, match=f"{field} must be .* normal"):
+                make_cfg(**{arg: value})
+        assert getattr(make_cfg(**{arg: sys.float_info.min}), field) == sys.float_info.min
 
     def test_invalid_allocation(self):
         with pytest.raises(ValueError, match="n_p"):

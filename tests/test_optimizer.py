@@ -27,6 +27,12 @@ def make_cfg(n=100, lam=1.0, sb2=1.0, sw2=1.0, eps=0.1):
 
 
 class TestRhoSolver:
+    @pytest.mark.parametrize("sw2,eps", [(1e-306, 1e-9), (1e-300, 1e-9), (1e-307, 1e-3)])
+    def test_power_off_the_normal_range_is_refused(self, sw2, eps):
+        # rho* = s* sigma_w2 would round on the subnormal grid
+        with pytest.raises(ValueError, match="sigma_w2 = .* for epsilon = "):
+            solve_rho_star(make_cfg(sw2=sw2, eps=eps))
+
     def test_round_trip_against_detection_error(self):
         cfg = make_cfg(n=100, eps=0.1)
         rho = solve_rho_star(cfg).rho
