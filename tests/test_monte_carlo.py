@@ -661,9 +661,9 @@ class TestSweepPass:
             rng = monte_carlo._stream(mc.seed, 1, chunk)
             draws = (rng.standard_gamma(20, size), rng.standard_gamma(80, size))
             for (index, k), counts in errors.items():
-                detector = self.DETECTORS[k]
-                counts[0] += int(np.count_nonzero(decides_h1(detector, cfg, allocs[index], 0, draws)))
-                counts[1] += int(np.count_nonzero(~decides_h1(detector, cfg, allocs[index], 1, draws)))
+                detector, alloc = self.DETECTORS[k], allocs[index]
+                counts[0] += int(np.count_nonzero(decides_h1(detector, cfg, alloc, 0, draws)))
+                counts[1] += int(np.count_nonzero(~decides_h1(detector, cfg, alloc, 1, draws)))
         for (index, k), (false_alarms, missed) in errors.items():
             rates = wardens[index].rates[k]
             assert (rates.alpha.value, rates.beta.value) == (
