@@ -6,7 +6,9 @@ effective SINR per channel use, which charges the pilot overhead
 (n - n_p)/n against the data phase.
 
 All powers and variances are linear scale; dBm conversion is a CLI
-concern.
+concern.  Bob's noise power is the link's unit: each formula reads
+lambda_ab and sigma_b2 once, as the gain g = lambda_ab / sigma_b2, and
+works in Bob's SNRs, each a power times g.
 """
 
 import math
@@ -144,18 +146,15 @@ def _check_alloc(cfg: SystemConfig, alloc: PowerAllocation) -> None:
 
 
 def sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:
-    """Post-estimation SINR of the data phase.
+    """Post-estimation SINR of the data phase, gamma = u v / (1 + u + v).
 
-    gamma = rho_d lambda^2 n_p rho_p
-            / (sigma_b^4 + rho_d lambda sigma_b2 + sigma_b2 lambda n_p rho_p)
+    u = rho_d g and v = n_p rho_p g are Bob's data and pilot SNRs.
     """
     _check_alloc(cfg, alloc)
-    lam = cfg.lambda_ab
-    sb2 = cfg.sigma_b2
-    pilot_energy = alloc.n_p * alloc.rho_p
-    num = alloc.rho_d * lam * lam * pilot_energy
-    den = sb2 * sb2 + alloc.rho_d * lam * sb2 + sb2 * lam * pilot_energy
-    return num / den
+    gain = cfg.lambda_ab / cfg.sigma_b2
+    u = alloc.rho_d * gain
+    v = alloc.n_p * alloc.rho_p * gain
+    return u * v / (1.0 + u + v)
 
 
 def effective_sinr(cfg: SystemConfig, alloc: PowerAllocation) -> float:

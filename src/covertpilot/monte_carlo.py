@@ -333,26 +333,27 @@ def _draw_bob_trial(rng: np.random.Generator, normals: np.ndarray, size: int) ->
 def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> BobResult:
     """Empirical post-estimation SINR at Bob and the MMSE diagnostics.
 
-    In h's phase frame h = sqrt(lambda) r, with r = sqrt(E), and
+    In units of Bob's noise, lambda standing for lambda_ab / sigma_b2, and
+    in h's phase frame, h = sqrt(lambda) r, with r = sqrt(E), and
     w = s_w (c + i d).  With A = g sqrt(rho_p lambda), K = kappa sqrt(lambda)
     and B = g s_w, the estimate is h_hat = (A r + B c) + i B d and its
     error h - h_hat = (K r - B c) - i B d, where kappa = 1 - g sqrt(rho_p)
     is a ratio, so the error keeps its digits at any pilot SNR, as does
     Im(h_hat conj(h - h_hat)) = sqrt(lambda) r B d, since A + K = sqrt(lambda).
     The SINR is the ratio of the means of s = rho_d |h_hat|^2 and
-    i = rho_d |h - h_hat|^2 + sigma_b2, whose sums are exact combinations
+    i = rho_d |h - h_hat|^2 + 1, whose sums are exact combinations
     of the nine below, with a delta-method standard error.  The same sums
     give the variances of the estimate and its error, and the correlation
     of h_hat with h - h_hat (zero for an MMSE split) with standard errors,
-    NaN where a variance underflows to 0.
+    NaN where a variance underflows to 0; sigma_b2 scales the variances back.
     """
     import numpy as np
 
     _check_alloc(cfg, alloc)
-    lam, sb2, n_p, rho_p = cfg.lambda_ab, cfg.sigma_b2, alloc.n_p, alloc.rho_p
-    s_h, s_w = math.sqrt(lam), math.sqrt(sb2 / (2.0 * n_p))
-    gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + sb2)
-    kappa = sb2 / (lam * n_p * rho_p + sb2)
+    lam, sb2, n_p, rho_p = cfg.lambda_ab / cfg.sigma_b2, cfg.sigma_b2, alloc.n_p, alloc.rho_p
+    s_h, s_w = math.sqrt(lam), math.sqrt(1.0 / (2.0 * n_p))
+    gain = math.sqrt(rho_p) * lam * n_p / (lam * n_p * rho_p + 1.0)
+    kappa = 1.0 / (lam * n_p * rho_p + 1.0)
     hat_r, err_r, w_b = gain * math.sqrt(rho_p) * s_h, kappa * s_h, gain * s_w
     normals, work = np.empty(3 * CHUNK_TRIALS), np.empty((2, CHUNK_TRIALS))
     # with hh = |h_hat|^2, ee = |h - h_hat|^2 and x = h_hat conj(h - h_hat):
@@ -393,10 +394,10 @@ def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Bob
 
     rho_d, trials = alloc.rho_d, mc.trials
     sum_s = rho_d * sum_hh
-    sum_i = rho_d * sum_ee + sb2 * trials
+    sum_i = rho_d * sum_ee + trials
     sum_ss = rho_d * rho_d * sum_hh2
-    sum_ii = rho_d * rho_d * sum_ee2 + 2.0 * rho_d * sb2 * sum_ee + sb2 * sb2 * trials
-    sum_si = rho_d * rho_d * sum_hhee + rho_d * sb2 * sum_hh
+    sum_ii = rho_d * rho_d * sum_ee2 + 2.0 * rho_d * sum_ee + trials
+    sum_si = rho_d * rho_d * sum_hhee + rho_d * sum_hh
     mean_s = sum_s / trials
     mean_i = sum_i / trials
     ratio = mean_s / mean_i
@@ -422,8 +423,8 @@ def simulate_bob(cfg: SystemConfig, alloc: PowerAllocation, mc: McConfig) -> Bob
 
     return BobResult(
         sinr=McEstimate(value=ratio, std_err=std_err, trials=trials),
-        var_h_hat=var_h_hat,
-        var_h_tilde=var_h_tilde,
+        var_h_hat=McEstimate(var_h_hat.value * sb2, var_h_hat.std_err * sb2, trials),
+        var_h_tilde=McEstimate(var_h_tilde.value * sb2, var_h_tilde.std_err * sb2, trials),
         orth_corr_re=correlation(sum_cre, sum_cre2),
         orth_corr_im=correlation(sum_cim, sum_cim2),
     )

@@ -132,18 +132,18 @@ def solve_rho_star(cfg: SystemConfig) -> PowerSolve:
 def np_continuous(cfg: SystemConfig, rho_star: float) -> float:
     """Real-valued pilot count maximizing the effective SINR at equal power.
 
-    The positive root of lambda rho x^2 + 2 kappa x - n kappa = 0 with
-    kappa = lambda rho + sigma_b2, in the form that neither cancels when
-    lambda rho is small against kappa nor overflows when both are large:
+    The positive root of u x^2 + 2 (u + 1) x - n (u + 1) = 0, where
+    u = rho g is Bob's SNR, g = lambda_ab / sigma_b2, in the form that
+    neither cancels when u is small nor overflows when it is large:
 
-        x = n / (1 + sqrt(1 + n lambda rho / kappa))
+        x = n / (1 + sqrt(1 + n u / (u + 1)))
 
     Always lies in (0, n).
     """
     if not (rho_star > 0):
         raise ValueError(f"np_continuous requires rho_star > 0, got {rho_star!r}")
-    lam_rho = cfg.lambda_ab * rho_star
-    return cfg.n / (1.0 + math.sqrt(1.0 + cfg.n * (lam_rho / (lam_rho + cfg.sigma_b2))))
+    u = rho_star * (cfg.lambda_ab / cfg.sigma_b2)
+    return cfg.n / (1.0 + math.sqrt(1.0 + cfg.n * (u / (u + 1.0))))
 
 
 def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float:
@@ -184,23 +184,23 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
 def np_sensitivity(cfg: SystemConfig, rho: float) -> float:
     """Derivative of the continuous pilot count with respect to the power.
 
-        - sigma_b2 (sqrt(kappa + n rho lambda) - sqrt(kappa))^2
-          / (2 lambda rho^2 sqrt(kappa (kappa + n rho lambda)))
+        - (sqrt(kappa + n rho g) - sqrt(kappa))^2
+          / (2 g rho^2 sqrt(kappa (kappa + n rho g)))
 
-    with kappa = lambda rho + sigma_b2.  The difference of square roots is
-    formed as n rho lambda / (sqrt(kappa + n rho lambda) + sqrt(kappa)),
-    so it does not cancel at low SNR.  Strictly negative: raising the
-    power always lowers the pilot optimum.
+    with kappa = rho g + 1, g = lambda_ab / sigma_b2.  The difference of
+    square roots is formed as n rho g / (sqrt(kappa + n rho g) +
+    sqrt(kappa)), so it does not cancel at low SNR.  Strictly negative:
+    raising the power always lowers the pilot optimum.
     """
     if not (rho > 0):
         raise ValueError(f"np_sensitivity requires rho > 0, got {rho!r}")
-    lam = cfg.lambda_ab
-    kappa = lam * rho + cfg.sigma_b2
-    gain = cfg.n * rho * lam
+    g = cfg.lambda_ab / cfg.sigma_b2
+    kappa = g * rho + 1.0
+    snr = cfg.n * rho * g
     root_kappa = math.sqrt(kappa)
-    root_total = math.sqrt(kappa + gain)
-    gap = gain / (root_total + root_kappa)
-    return -cfg.sigma_b2 * gap * gap / (2.0 * lam * rho * rho * root_kappa * root_total)
+    root_total = math.sqrt(kappa + snr)
+    gap = snr / (root_total + root_kappa)
+    return -gap * gap / (2.0 * g * rho * rho * root_kappa * root_total)
 
 
 def design(cfg: SystemConfig) -> DesignResult:

@@ -584,12 +584,56 @@ class TestDesignCommand:
         assert err.startswith("config error: effective SINR is not finite at rho = ")
         assert "lambda_ab = 1e+154 and sigma_b2 = 1.0" in err
         assert not out.exists()
-        # the last scale before the overflow keeps its bytes
+        # a scale at which every row's SNRs have room keeps these bytes
         config.write_text("[system]\nlambda_ab = 1e150\n")
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "c9773944c60f5c2e316451ef890ed574d82d5f5ad531c20f2de6e10f11db3feb"
+            "f817720220f16de575b502a3ef1b34b6c5787b2d6b2462f6b4700c48eaddeaec"
         )
+
+
+class TestNoiseUnits:
+    """lambda_ab and sigma_b2 reach every link formula only as lambda_ab / sigma_b2."""
+
+    def run_all(self, tmp_path, system):
+        """Exit code and CSV cells of each closed-form command and verify,
+        without the two scale columns and the config hash."""
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\n{system}\n[verify]\ntrials = 2000\n")
+        runs = {}
+        for command in ("design", "fig2", "fig3", "sweep", "verify"):
+            out = tmp_path / f"{command}.csv"
+            code = main([command, "--config", str(config), "--out", str(out)])
+            header, rows = read_csv(out)
+            keep = [i for i, name in enumerate(header)
+                    if name not in ("lambda_ab", "sigma_b2", "config_hash")]
+            runs[command] = (code, [[row[i] for i in keep] for row in rows])
+        return runs
+
+    def test_co_scaled_link_gives_the_unit_bytes(self, tmp_path, capsys):
+        # (c lambda_ab, c sigma_b2) keeps the gain at 1.0 exactly, so every
+        # cell keeps its bytes; a form that multiplied the scales moved
+        # cells by ulps at every c != 1 here, and failed from 1e-175 and 1e175
+        unit = self.run_all(tmp_path, "")
+        assert unit["verify"][0] == EXIT_OK
+        for exponent in range(-300, 301, 25):
+            scale = f"1e{exponent}"
+            runs = self.run_all(tmp_path, f"lambda_ab = {scale}\nsigma_b2 = {scale}")
+            assert runs == unit, scale
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("scale", ["1e-161", "1e-162", "1e200"])
+    def test_co_scaled_extremes_design_as_the_default(self, tmp_path, capsys, scale):
+        # the old form printed np* = 34 at 1e-161, raised ZeroDivisionError
+        # at 1e-162 and refused 1e200
+        config = tmp_path / "run.ini"
+        config.write_text(f"[system]\nlambda_ab = {scale}\nsigma_b2 = {scale}\n")
+        out = tmp_path / "design.csv"
+        assert main(["design", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert column(header, rows, "np_star", int) == [35]
+        assert column(header, rows, "gamma_eff_star") == [0.0077000966168839554]
+        assert capsys.readouterr().err == ""
 
 
 # SHA-256 of each command's CSV on the default and the README configs, and
@@ -820,14 +864,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "system",
-        ["lambda_ab = 1e200\nsigma_b2 = 1e200", "lambda_ab = 1e-170"],
+        ["lambda_ab = 1e200\nsigma_b2 = 1e-106", "lambda_ab = 1e-170"],
         ids=["overflow", "underflow"],
     )
     def test_orthogonality_rows_without_a_finite_std_err_fail(self, tmp_path, capsys, system):
-        # with lambda_ab and sigma_b2 at 1e200 the moment sums overflow and
-        # the standard errors are NaN; at lambda_ab = 1e-170 the estimate's
-        # variance underflows to 0, so no correlation can be formed, and
-        # verify still writes every row, with nothing on stderr
+        # at lambda_ab / sigma_b2 = 1e306 the moment sums, in units of Bob's
+        # noise, overflow and the standard errors are NaN; at lambda_ab =
+        # 1e-170 the estimate's variance underflows to 0, so no correlation
+        # can be formed, and verify still writes every row, with nothing on
+        # stderr
         config = tmp_path / "run.ini"
         config.write_text(f"[system]\n{system}\n[verify]\ntrials = 2000\n")
         out = tmp_path / "verify.csv"

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ class TestSinr:
         cfg = make_cfg(n=20)
         alloc = PowerAllocation.split(n=20, rho=0.0, eta=0.5, n_p=5)
         assert effective_sinr(cfg, alloc) == 0.0
+
+    def test_zero_pilot_power_gives_zero(self):
+        # v = 0 needs no branch: u v / (1 + u + v) is 0 at any data power
+        cfg = make_cfg(n=10, lam=1e100, sb2=1e-100)
+        for rho_d in (0.0, 1.0, 1e100):
+            assert sinr(cfg, PowerAllocation(n=10, n_p=2, rho_p=0.0, rho_d=rho_d)) == 0.0
+
+    def test_scales_enter_only_as_their_ratio(self):
+        # (c lambda, c sigma_b2) keeps lambda / sigma_b2 and every bit of
+        # gamma; gamma is within an ulp or two of the exact rational
+        alloc = PowerAllocation(n=100, n_p=20, rho_p=0.3, rho_d=0.05)
+        unit = sinr(make_cfg(lam=2.0, sb2=3.0), alloc)
+        for exponent in range(-300, 301, 25):
+            scale = float(f"1e{exponent}")
+            cfg = make_cfg(lam=2.0 * scale, sb2=3.0 * scale)
+            got = sinr(cfg, alloc)
+            assert abs(got - unit) <= 2 * math.ulp(unit), exponent
+            gain = Fraction(cfg.lambda_ab) / Fraction(cfg.sigma_b2)
+            u, v = Fraction(alloc.rho_d) * gain, alloc.n_p * Fraction(alloc.rho_p) * gain
+            assert abs(Fraction(got) - u * v / (1 + u + v)) <= 2 * math.ulp(got), exponent
+        for exponent in range(-300, 301, 25):
+            scale = float(f"1e{exponent}")
+            assert sinr(make_cfg(lam=scale, sb2=scale), alloc) == sinr(make_cfg(), alloc)
 
     def test_equal_power_against_mpmath_at_scale(self):
         # one pilot in 1e8 symbols: equal power holds both powers exactly,

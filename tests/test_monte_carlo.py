@@ -959,6 +959,26 @@ class TestBobSimulation:
         for exponent in range(-200, 201, 25):
             assert correlations(10.0**exponent) == pytest.approx(unit, rel=1e-12, abs=0), exponent
 
+    def test_a_common_scale_moves_only_the_variances(self):
+        # the pass is in units of Bob's noise: lambda_ab = sigma_b2 = c keeps
+        # every sum, and only the two variances are scaled back, by c
+        alloc = PowerAllocation.equal_power(n=100, rho=0.3, n_p=20)
+        mc = McConfig(trials=5000, seed=74)
+
+        def bob(scale):
+            cfg = SystemConfig(n=100, lambda_ab=scale, sigma_b2=scale, sigma_w2=1.0, epsilon=0.1)
+            return simulate_bob(cfg, alloc, mc)
+
+        unit = bob(1.0)
+        for exponent in range(-300, 301, 25):
+            scale = float(f"1e{exponent}")
+            result = bob(scale)
+            assert (result.sinr, result.orth_corr_re, result.orth_corr_im) == (
+                unit.sinr, unit.orth_corr_re, unit.orth_corr_im), exponent
+            for got, want in ((result.var_h_hat, unit.var_h_hat),
+                              (result.var_h_tilde, unit.var_h_tilde)):
+                assert (got.value, got.std_err) == (want.value * scale, want.std_err * scale)
+
     def test_allocation_for_another_n_is_refused(self):
         cfg = make_cfg(n=100)
         alloc = PowerAllocation.equal_power(n=10, rho=0.05, n_p=2)

@@ -2,6 +2,7 @@
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,35 @@ class TestIntegerPilotCount:
         # rho_d lambda^2 n_p rho_p overflows here, so both candidates read inf
         with pytest.raises(ValueError, match="lambda_ab = 1e\\+156 and sigma_b2 = 1.0"):
             np_star(make_cfg(lam=1e156), 0.025)
+
+
+class TestNoiseUnits:
+    """The design reads lambda_ab and sigma_b2 only as lambda_ab / sigma_b2."""
+
+    def test_design_moves_only_with_bobs_snr(self):
+        # (c sigma_b2, c sigma_w2) scales rho* by c and keeps Bob's SNR
+        # rho* lambda_ab / sigma_b2, so the pilot counts stay put
+        unit = design(make_cfg())
+        for exponent in range(-300, 301, 25):
+            scale = float(f"1e{exponent}")
+            result = design(make_cfg(sb2=scale, sw2=scale))
+            assert result.np_star == unit.np_star, exponent
+            assert (result.np_ceil, result.np_floor) == (unit.np_ceil, unit.np_floor), exponent
+            for field in ("np_continuous", "gamma_eff_star"):
+                got, want = getattr(result, field), getattr(unit, field)
+                assert abs(got - want) <= 4 * math.ulp(want), (exponent, field)
+
+    @pytest.mark.parametrize("scale", [1e-161, 1e-160, 1e150])
+    def test_co_scaled_design_is_exact(self, scale):
+        # at 1e-161 a form with sigma_b2^4 gave np* = 34 and gamma 0.017368
+        cfg = make_cfg(lam=scale, sb2=scale)
+        result = design(cfg)
+        assert result == design(make_cfg())
+        assert result.np_star == 35
+        n, n_p, gamma = cfg.n, result.np_star, result.gamma_eff_star
+        u = Fraction(result.rho_star) * Fraction(cfg.lambda_ab) / Fraction(cfg.sigma_b2)
+        exact = Fraction(n - n_p, n) * u * (n_p * u) / (1 + u + n_p * u)
+        assert abs(Fraction(gamma) - exact) <= 2 * math.ulp(gamma)
 
 
 class TestPilotSensitivity:
