@@ -55,6 +55,9 @@ DEFAULT_SEED = 12345
 
 # largest start:stop:step grid a config may ask for
 _MAX_GRID_POINTS = 10_000
+# most distinct fig1 pilot counts: a warden pass holds two rows of
+# CHUNK_TRIALS doubles (256 KiB) per count, 16 MiB at the cap
+_MAX_PILOT_COUNTS = 64
 
 
 class ConfigError(ValueError):
@@ -349,6 +352,12 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
     rho = resolved["rho"]
     if not rho >= 0:
         raise ConfigError(f"config key 'rho': must be nonnegative, got {rho}")
+    counts = len(set(resolved["np_values"]))
+    if counts > _MAX_PILOT_COUNTS:
+        raise ConfigError(
+            f"config key 'np_values': {counts} distinct pilot counts, "
+            f"more than {_MAX_PILOT_COUNTS}"
+        )
     # every allocation is built, and so checked, before the pass
     etas, allocs = [], []
     for n_p in resolved["np_values"]:
@@ -416,9 +425,11 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
         rho = lo + (hi - lo) * i / (points - 1)
         report = min_detection_error(cfg, rho)
         gamma = effective_sinr_equal_power(cfg, rho, n_p)
-        # the link model overflows from about lambda_ab = 1e154 (ROADMAP item 14)
+        # Bob's two SNRs overflow their product from about 1e154
         if not math.isfinite(gamma):
-            raise _sinr_out_of_range(cfg, f"rho = {rho!r}, n_p = {n_p}")
+            raise _sinr_out_of_range(
+                cfg, f"rho = {rho!r}, n_p = {n_p}", f"rho_min = {lo!r} to rho_max = {hi!r}"
+            )
         rows.append([
             rho, report.d01, report.xi_lower_bound, report.tau_star,
             report.alpha, report.beta, report.xi_star, gamma,

@@ -151,10 +151,14 @@ def effective_sinr_equal_power(cfg: SystemConfig, rho: float, n_p: int) -> float
     return effective_sinr(cfg, PowerAllocation.equal_power(cfg.n, rho, n_p))
 
 
-def _sinr_out_of_range(cfg: SystemConfig, where: str) -> ValueError:
-    """The refusal of an effective SINR that is not finite at `where`."""
+def _sinr_out_of_range(cfg: SystemConfig, where: str, power: str) -> ValueError:
+    """The refusal of an effective SINR that is not finite at `where`.
+
+    `power` names the keys that set the power, with their values: Bob's
+    SNRs are that power times lambda_ab / sigma_b2.
+    """
     return ValueError(
-        f"effective SINR is not finite at {where}: lambda_ab = {cfg.lambda_ab!r} "
+        f"effective SINR is not finite at {where}: {power}, lambda_ab = {cfg.lambda_ab!r} "
         f"and sigma_b2 = {cfg.sigma_b2!r} are beyond the link model's range"
     )
 
@@ -166,8 +170,9 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     continuous optimum (clamped into [1, n-1]) and keeps the larger, the
     ceiling on ties.  Returns (np_star, np_ceil, np_floor).  Raises
     ValueError where either SINR is not finite, which the link model
-    reaches at an extreme lambda_ab / sigma_b2 scale: two infinite SINRs
-    would rank nothing.
+    reaches where Bob's SNRs overflow, from about 1e154: two infinite
+    SINRs would rank nothing.  The message names sigma_w2, since the
+    covert power is rho_star = s* sigma_w2.
     """
     x = np_continuous(cfg, rho_star)
     lo_limit, hi_limit = 1, cfg.n - 1
@@ -176,7 +181,9 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     gamma_ceil = effective_sinr_equal_power(cfg, rho_star, np_ceil)
     gamma_floor = effective_sinr_equal_power(cfg, rho_star, np_floor)
     if not (math.isfinite(gamma_ceil) and math.isfinite(gamma_floor)):
-        raise _sinr_out_of_range(cfg, f"n_p = {np_floor} or {np_ceil}")
+        raise _sinr_out_of_range(
+            cfg, f"n_p = {np_floor} or {np_ceil}", f"sigma_w2 = {cfg.sigma_w2!r}"
+        )
     best = np_ceil if gamma_ceil >= gamma_floor else np_floor
     return best, np_ceil, np_floor
 

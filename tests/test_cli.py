@@ -582,7 +582,7 @@ class TestDesignCommand:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: effective SINR is not finite at rho = ")
-        assert "lambda_ab = 1e+154 and sigma_b2 = 1.0" in err
+        assert "rho_min = 0.001 to rho_max = 1.0, lambda_ab = 1e+154 and sigma_b2 = 1.0" in err
         assert not out.exists()
         # a scale at which every row's SNRs have room keeps these bytes
         config.write_text("[system]\nlambda_ab = 1e150\n")
@@ -590,6 +590,17 @@ class TestDesignCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "f817720220f16de575b502a3ef1b34b6c5787b2d6b2462f6b4700c48eaddeaec"
         )
+
+    @pytest.mark.parametrize("command", ["design", "fig2", "fig3"])
+    def test_out_of_range_covert_power_names_sigma_w2(self, tmp_path, capsys, command):
+        # rho* = s* sigma_w2 ~ 2.5e298 makes Bob's SNRs overflow their product
+        config = tmp_path / "run.ini"
+        config.write_text("[system]\nsigma_w2 = 1e300\n")
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: effective SINR is not finite at n_p = ")
+        assert "sigma_w2 = 1e+300, lambda_ab = 1.0 and sigma_b2 = 1.0" in captured.err
+        assert captured.out == ""
 
 
 class TestNoiseUnits:
@@ -769,6 +780,28 @@ class TestFigureCommands:
         assert calls == []
         assert capsys.readouterr().err == (
             "config error: config key 'np_values': n_p must lie in [1, n-1], got 0 for n=100\n"
+        )
+        assert not out.exists()
+
+    def test_fig1_distinct_pilot_count_cap(self, tmp_path, capsys, monkeypatch):
+        # each distinct count holds 256 KiB for the whole pass; a repeated
+        # entry reads the same segments and costs nothing
+        config = tmp_path / "run.ini"
+        out = tmp_path / "fig1.csv"
+        at_cap = ", ".join(str(n_p) for n_p in [*range(1, 65), 64])
+        config.write_text(f"[fig1]\nnp_values = {at_cap}\neta_grid = 0.5\ntrials = 1000\n")
+        assert main(["fig1", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert column(header, rows, "n_p", int) == [*range(1, 65), 64]
+        calls = []
+        monkeypatch.setattr(cli, "simulate_warden", lambda *args: calls.append(args))
+        over_cap = ", ".join(str(n_p) for n_p in range(1, 66))
+        config.write_text(f"[fig1]\nnp_values = {over_cap}\n")
+        out.unlink()
+        assert main(["fig1", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "config error: config key 'np_values': 65 distinct pilot counts, more than 64\n"
         )
         assert not out.exists()
 
