@@ -170,11 +170,14 @@ def np_star(cfg: SystemConfig, rho_star: float) -> Tuple[int, int, int]:
     continuous optimum (clamped into [1, n-1]) and keeps the larger, the
     ceiling on ties.  Returns (np_star, np_ceil, np_floor).  Raises
     ValueError where either SINR is not finite, which the link model
-    reaches where Bob's SNRs overflow, from about 1e154: two infinite
-    SINRs would rank nothing.  The message names sigma_w2, since the
-    covert power is rho_star = s* sigma_w2.
+    reaches where Bob's SNRs overflow their product, from about 1e154:
+    two infinite SINRs would rank nothing.  So it does where his SNR
+    itself overflows and leaves no optimum to round.  The message names
+    sigma_w2, since the covert power is rho_star = s* sigma_w2.
     """
     x = np_continuous(cfg, rho_star)
+    if math.isnan(x):  # Bob's SNR rho_star g overflowed to inf
+        raise _sinr_out_of_range(cfg, f"rho = {rho_star!r}", f"sigma_w2 = {cfg.sigma_w2!r}")
     lo_limit, hi_limit = 1, cfg.n - 1
     np_floor = min(max(math.floor(x), lo_limit), hi_limit)
     np_ceil = min(max(math.ceil(x), lo_limit), hi_limit)

@@ -592,14 +592,26 @@ class TestDesignCommand:
         )
 
     @pytest.mark.parametrize("command", ["design", "fig2", "fig3"])
-    def test_out_of_range_covert_power_names_sigma_w2(self, tmp_path, capsys, command):
-        # rho* = s* sigma_w2 ~ 2.5e298 makes Bob's SNRs overflow their product
+    @pytest.mark.parametrize(
+        "system,where,keys",
+        [
+            # rho* = s* sigma_w2 ~ 2.5e298 overflows the product of Bob's SNRs
+            ("sigma_w2 = 1e300", "n_p = ", "sigma_w2 = 1e+300, lambda_ab = 1.0 and sigma_b2 = 1.0"),
+            # rho* g ~ 5e317 overflows Bob's SNR itself
+            ("sigma_w2 = 1e20\nlambda_ab = 1e300", "rho = ",
+             "sigma_w2 = 1e+20, lambda_ab = 1e+300 and sigma_b2 = 1.0"),
+        ],
+        ids=["snr-product", "snr"],
+    )
+    def test_out_of_range_covert_power_names_sigma_w2(
+        self, tmp_path, capsys, command, system, where, keys
+    ):
         config = tmp_path / "run.ini"
-        config.write_text("[system]\nsigma_w2 = 1e300\n")
+        config.write_text(f"[system]\n{system}\n")
         assert main([command, "--config", str(config)]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err.startswith("config error: effective SINR is not finite at n_p = ")
-        assert "sigma_w2 = 1e+300, lambda_ab = 1.0 and sigma_b2 = 1.0" in captured.err
+        assert captured.err.startswith(f"config error: effective SINR is not finite at {where}")
+        assert keys in captured.err
         assert captured.out == ""
 
 

@@ -177,6 +177,9 @@ class TestIntegerPilotCount:
         # rho_d lambda^2 n_p rho_p overflows here, so both candidates read inf
         with pytest.raises(ValueError, match="lambda_ab = 1e\\+156 and sigma_b2 = 1.0"):
             np_star(make_cfg(lam=1e156), 0.025)
+        # lambda_ab / sigma_b2 overflows to inf, so no optimum can be rounded
+        with pytest.raises(ValueError, match="sigma_w2 = 1.0, lambda_ab = 1e\\+200 and sigma_b2"):
+            np_star(make_cfg(lam=1e200, sb2=1e-200), 0.025)
 
 
 class TestNoiseUnits:
