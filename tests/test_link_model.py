@@ -178,8 +178,9 @@ class TestSinr:
             assert sinr(cfg, PowerAllocation(n=10, n_p=2, rho_p=0.0, rho_d=rho_d)) == 0.0
 
     def test_scales_enter_only_as_their_ratio(self):
-        # (c lambda, c sigma_b2) keeps lambda / sigma_b2 and every bit of
-        # gamma; gamma is within an ulp or two of the exact rational
+        # (2c, 3c) moves lambda / sigma_b2 by an ulp at most and gamma by
+        # two, each gamma within two ulps of the exact rational; equal
+        # scales keep every bit
         alloc = PowerAllocation(n=100, n_p=20, rho_p=0.3, rho_d=0.05)
         unit = sinr(make_cfg(lam=2.0, sb2=3.0), alloc)
         for exponent in range(-300, 301, 25):
