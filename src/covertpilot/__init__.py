@@ -21,16 +21,6 @@ from .link_model import (
     effective_sinr,
     sinr,
 )
-from .monte_carlo import (
-    LikelihoodRatioTest,
-    McConfig,
-    McEstimate,
-    Radiometer,
-    TrialBudgetError,
-    WillieErrorRates,
-    simulate_bob,
-    simulate_warden,
-)
 from .optimizer import (
     DesignResult,
     SolverError,
@@ -71,3 +61,20 @@ __all__ = [
     "sinr",
     "solve_rho_star",
 ]
+
+# the Monte Carlo names load their module on first use (PEP 562), so that
+# importing the package, as the closed-form commands do, does not
+_MONTE_CARLO = {"LikelihoodRatioTest", "McConfig", "McEstimate", "Radiometer",
+                "TrialBudgetError", "WillieErrorRates", "simulate_bob", "simulate_warden"}
+
+
+def __getattr__(name):
+    if name in _MONTE_CARLO:
+        from . import monte_carlo
+
+        return getattr(monte_carlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_MONTE_CARLO})

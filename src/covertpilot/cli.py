@@ -27,23 +27,14 @@ import functools
 import hashlib
 import math
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from .detection import covertness_lower_bound, kl_divergence, min_detection_error
-from .link_model import PowerAllocation, SystemConfig, _check_slot, sinr
-from .monte_carlo import (
-    BobResult,
-    LikelihoodRatioTest,
-    McConfig,
-    McEstimate,
-    Radiometer,
-    TrialBudgetError,
-    WardenResult,
-    WillieErrorRates,
-    simulate_bob,
-    simulate_warden,
-)
+from .link_model import PowerAllocation, SystemConfig, TrialBudgetError, _check_slot, sinr
 from .optimizer import SolverError, _sinr_out_of_range, design, effective_sinr_equal_power
+
+if TYPE_CHECKING:
+    from .monte_carlo import BobResult, McEstimate, WardenResult, WillieErrorRates
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -292,19 +283,19 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: List[Sequence]) 
 # the benchmark's tracer wraps these four readers of a Monte Carlo pass and
 # the imported effective_sinr_equal_power, so they stay until the tracer
 # drops them (ROADMAP item 1A)
-def simulate_willie(warden: WardenResult) -> WillieErrorRates:
+def simulate_willie(warden: "WardenResult") -> "WillieErrorRates":
     return warden.rates[0]
 
 
-def count_detector_disagreements(warden: WardenResult) -> int:
+def count_detector_disagreements(warden: "WardenResult") -> int:
     return warden.disagreements
 
 
-def simulate_bob_sinr(bob: BobResult) -> McEstimate:
+def simulate_bob_sinr(bob: "BobResult") -> "McEstimate":
     return bob.sinr
 
 
-def bob_estimation_diagnostics(bob: BobResult) -> BobResult:
+def bob_estimation_diagnostics(bob: "BobResult") -> "BobResult":
     return bob
 
 
@@ -369,8 +360,11 @@ def cmd_fig1(resolved: Dict[str, object], digest: str):
             )
     # one pass for every row: each pilot count reads its segments from the
     # same slots, so differences across eta and n_p are precise
-    mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
-    wardens = simulate_warden(cfg, tuple(allocs), mc, (LikelihoodRatioTest(),))
+    from . import monte_carlo
+
+    mc = monte_carlo.McConfig(trials=resolved["trials"], seed=resolved["seed"])
+    lrt = monte_carlo.LikelihoodRatioTest()
+    wardens = monte_carlo.simulate_warden(cfg, tuple(allocs), mc, (lrt,))
     rows = []
     for eta, alloc, warden in zip(etas, allocs, wardens):
         rates = simulate_willie(warden)
@@ -423,7 +417,10 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
     rows = []
     for i in range(points):
         rho = lo + (hi - lo) * i / (points - 1)
-        report = min_detection_error(cfg, rho)
+        try:
+            report = min_detection_error(cfg, rho)
+        except ValueError as exc:
+            raise ConfigError(f"config keys 'rho_min'/'rho_max': {exc}") from None
         gamma = effective_sinr_equal_power(cfg, rho, n_p)
         # Bob's two SNRs overflow their product from about 1e154
         if not math.isfinite(gamma):
@@ -438,16 +435,19 @@ def cmd_sweep(resolved: Dict[str, object], digest: str):
 
 
 def cmd_verify(resolved: Dict[str, object], digest: str):
+    from . import monte_carlo
+
     cfg = system_config(resolved)
     rho, n_p = resolved["rho"], resolved["n_p"]
     _for_key("n_p", _check_slot, cfg.n, n_p)
-    mc = McConfig(trials=resolved["trials"], seed=resolved["seed"])
+    mc = monte_carlo.McConfig(trials=resolved["trials"], seed=resolved["seed"])
     alloc = _for_key("rho", PowerAllocation.equal_power, n=cfg.n, rho=rho, n_p=n_p)
     analytic = _for_key("rho", min_detection_error, cfg, rho)
-    radiometer = Radiometer(threshold=analytic.tau_star)
+    detectors = (monte_carlo.Radiometer(threshold=analytic.tau_star),
+                 monte_carlo.LikelihoodRatioTest())
     # one pass over each stream; the warden pass evaluates both detectors
-    (warden,) = simulate_warden(cfg, (alloc,), mc, (radiometer, LikelihoodRatioTest()))
-    bob = simulate_bob(cfg, alloc, mc)
+    (warden,) = monte_carlo.simulate_warden(cfg, (alloc,), mc, detectors)
+    bob = monte_carlo.simulate_bob(cfg, alloc, mc)
     rates = simulate_willie(warden)
     disagreements = count_detector_disagreements(warden)
     bob_sinr = simulate_bob_sinr(bob)

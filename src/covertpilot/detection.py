@@ -13,6 +13,7 @@ covert margin, with the same quadrature.
 """
 
 import math
+import sys
 from typing import NamedTuple, Tuple
 
 from .link_model import PowerAllocation, SystemConfig, _check_alloc, _check_slot, _is_integer
@@ -120,6 +121,12 @@ def min_detection_error(cfg: SystemConfig, rho: float) -> DetectionReport:
     sw2 = cfg.sigma_w2
     n = cfg.n
     tau = optimal_threshold(rho, sw2)
+    # a subnormal rho / sigma_w2 has lost digits; tau overflows once sigma_w2^2 / rho does
+    if not (sys.float_info.min <= rho / sw2 and tau < math.inf):
+        raise ValueError(
+            "min_detection_error needs a normal rho / sigma_w2 and a finite optimal "
+            f"threshold, got rho = {rho!r} and sigma_w2 = {sw2!r}"
+        )
     alpha = _gamma_tail(n, n * tau / sw2, upper=True)
     beta = reg_lower_gamma(n, n * tau / (rho + sw2))
     d01 = n * _per_sample_divergence(rho / sw2)

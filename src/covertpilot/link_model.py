@@ -12,7 +12,6 @@ works in Bob's SNRs, each a power times g.
 """
 
 import math
-import numbers
 import sys
 from typing import NamedTuple
 
@@ -22,7 +21,17 @@ _EQUAL_POWER_RTOL = 1e-9
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a type registered as numbers.Integral (numpy's are) or derived from it
+    # exists only once numbers is loaded, so the check need not load it
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    numbers = sys.modules.get("numbers")
+    return numbers is not None and isinstance(value, numbers.Integral)
+
+
+# McConfig raises it; defined here, the CLI maps it without the Monte Carlo module
+class TrialBudgetError(Exception):
+    """Trial budget below the minimum for a reportable estimate."""
 
 
 # a NamedTuple body may not define __new__, so each checked record is a

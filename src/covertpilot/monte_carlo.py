@@ -46,8 +46,9 @@ draws Gamma(n_p) and then Gamma(n_d).  The estimates of every allocation
 in a pass, of any pilot counts, read the same slots and so are
 positively correlated.
 
-numpy is imported by the functions that draw, not by the module, so the
-closed-form commands never load it.
+numpy is imported by the functions that draw, not by the module, and the
+package and the CLI import this module only when a Monte Carlo name is
+first used, so the closed-form commands load neither.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .link_model import PowerAllocation, SystemConfig, _check_alloc, _is_integer
+from .link_model import PowerAllocation, SystemConfig, TrialBudgetError, _check_alloc, _is_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,10 +66,6 @@ MIN_TRIALS = 1_000
 
 _DOMAIN_WILLIE = 1
 _DOMAIN_BOB = 2
-
-
-class TrialBudgetError(Exception):
-    """Trial budget below the minimum for a reportable estimate."""
 
 
 class _McConfigFields(NamedTuple):

@@ -591,6 +591,36 @@ class TestDesignCommand:
             "f817720220f16de575b502a3ef1b34b6c5787b2d6b2462f6b4700c48eaddeaec"
         )
 
+    @pytest.mark.parametrize(
+        "command,config_text,keys,values",
+        [
+            # a subnormal warden SNR, where tau* overflowed and the kernel
+            # refused x = inf without naming a key
+            ("sweep", "[sweep]\nrho_min = 1e-320\nrho_max = 1e-310\n",
+             "config keys 'rho_min'/'rho_max'", "rho = 1e-320 and sigma_w2 = 1.0"),
+            ("verify", "[verify]\nrho = 1e-320\n",
+             "config key 'rho'", "rho = 1e-320 and sigma_w2 = 1.0"),
+            # a normal warden SNR with sigma_w2^2 / rho past the double range
+            ("sweep", "[system]\nsigma_w2 = 1e300\n",
+             "config keys 'rho_min'/'rho_max'", "rho = 0.001 and sigma_w2 = 1e+300"),
+            ("verify", "[system]\nsigma_w2 = 10\n[verify]\nrho = 2.3e-307\n",
+             "config key 'rho'", "rho = 2.3e-307 and sigma_w2 = 10.0"),
+        ],
+        ids=["sweep-subnormal", "verify-subnormal", "sweep-overflow", "verify-overflow"],
+    )
+    def test_out_of_range_warden_snr_names_rho(
+        self, tmp_path, capsys, command, config_text, keys, values
+    ):
+        config = tmp_path / "run.ini"
+        config.write_text(config_text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {keys}: min_detection_error needs a normal rho / sigma_w2 "
+            f"and a finite optimal threshold, got {values}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["design", "fig2", "fig3"])
     @pytest.mark.parametrize(
         "system,where,keys",
@@ -699,11 +729,20 @@ def test_golden_bytes(tmp_path, capsys):
 
 
 def test_closed_form_commands_do_not_load_numpy(tmp_path):
+    # nor the Monte Carlo module, nor what only it or the old integer check
+    # loaded: the package and the closed-form commands import none of them
+    config = tmp_path / "run.ini"
+    config.write_text("[system]\nn = 40\n")
     script = (
-        "import sys, covertpilot.cli as cli\n"
-        "for command in ('design', 'fig3', 'sweep'):\n"
-        f"    assert cli.main([command, '--out', {str(tmp_path / 'out.csv')!r}]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "import sys\n"
+        "unused = {'numpy', 'covertpilot.monte_carlo', 'numbers', '__future__'}\n"
+        "import covertpilot\n"
+        "print(sorted(unused & set(sys.modules)))\n"
+        "import covertpilot.cli as cli\n"
+        "for command in ('design', 'fig2', 'fig3', 'sweep'):\n"
+        f"    flags = ['--config', {str(config)!r}, '--out', {str(tmp_path / 'out.csv')!r}]\n"
+        "    assert cli.main([command, *flags]) == 0\n"
+        "print(sorted(unused & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(covertpilot.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -711,7 +750,8 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_module_entry_point_returns_the_exit_code(tmp_path):
@@ -784,7 +824,7 @@ class TestFigureCommands:
         self, tmp_path, capsys, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(cli, "simulate_warden", lambda *args: calls.append(args))
+        monkeypatch.setattr(monte_carlo, "simulate_warden", lambda *args: calls.append(args))
         config = tmp_path / "run.ini"
         config.write_text("[fig1]\nnp_values = 20, 0\n")
         out = tmp_path / "fig1.csv"
@@ -806,7 +846,7 @@ class TestFigureCommands:
         header, rows = read_csv(out)
         assert column(header, rows, "n_p", int) == [*range(1, 65), 64]
         calls = []
-        monkeypatch.setattr(cli, "simulate_warden", lambda *args: calls.append(args))
+        monkeypatch.setattr(monte_carlo, "simulate_warden", lambda *args: calls.append(args))
         over_cap = ", ".join(str(n_p) for n_p in range(1, 66))
         config.write_text(f"[fig1]\nnp_values = {over_cap}\n")
         out.unlink()

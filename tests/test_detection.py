@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,26 @@ class TestMinDetectionError:
                     beta = mpmath.gammainc(n, 0, x1, regularized=True)
                     assert abs(rep.alpha - alpha) <= 1e-14 * alpha
                     assert abs(rep.beta - beta) <= 1e-14 * beta
+
+    @pytest.mark.parametrize("rho, sw2", [
+        (1e-320, 1.0),  # subnormal rho / sigma_w2
+        (1e-310, 1e3),
+        (1e10, 1e-300),  # rho / sigma_w2 overflows
+        (2.3e-307, 10.0),  # normal rho / sigma_w2, but sigma_w2^2 / rho overflows
+        (1e-3, 1e300),
+    ])
+    def test_out_of_range_warden_snr_names_rho_and_sigma_w2(self, rho, sw2):
+        with pytest.raises(ValueError) as info:
+            min_detection_error(make_cfg(sw2=sw2), rho)
+        assert str(info.value) == (
+            "min_detection_error needs a normal rho / sigma_w2 and a finite optimal "
+            f"threshold, got rho = {rho!r} and sigma_w2 = {sw2!r}"
+        )
+
+    def test_smallest_normal_warden_snr_is_blind_guessing(self):
+        rep = min_detection_error(make_cfg(), sys.float_info.min)
+        assert rep.tau_star == 1.0
+        assert rep.xi_star == pytest.approx(1.0, abs=1e-15)
 
     def test_bound_below_xi_star(self):
         rng = np.random.default_rng(15)

@@ -1,13 +1,21 @@
 """Tests for the Alice-Bob link analytics."""
 
 import math
+import numbers
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from covertpilot.link_model import PowerAllocation, SystemConfig, effective_sinr, sinr
+from covertpilot.link_model import (
+    PowerAllocation,
+    SystemConfig,
+    _is_integer,
+    effective_sinr,
+    sinr,
+)
 
 from oracles import effective_sinr_closed_form
 
@@ -30,6 +38,27 @@ def sinr_eta_form(cfg, rho, eta, n_p):
     num = lam * lam * rho * n * eta * (1.0 - eta)
     den = n_d * sb2 * (lam * (1.0 - eta) + sb2 / (rho * n) + lam * eta / n_d)
     return num / den
+
+
+class _IntSubclass(int):
+    pass
+
+
+NUMPY_INTEGER_TYPES = sorted(
+    {t for t in np.sctypeDict.values() if issubclass(t, np.integer)}, key=lambda t: t.__name__
+)
+
+
+@pytest.mark.parametrize("value", [
+    0, -1, 2**70, _IntSubclass(3), True,
+    *(t(1) for t in NUMPY_INTEGER_TYPES), np.bool_(True),
+    1.0, np.float64(2), np.array(3),
+    Fraction(4, 2), Decimal(4),
+], ids=repr)
+def test_is_integer_keeps_the_integral_rule(value):
+    # the old rule, which loaded numbers for every check
+    expected = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    assert _is_integer(value) is expected
 
 
 class TestConfigValidation:

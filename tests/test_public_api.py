@@ -58,6 +58,18 @@ REMOVED = (
 
 MODULES = ("cli", "detection", "link_model", "monte_carlo", "optimizer", "specfun")
 
+# names the package resolves on first use, from its Monte Carlo module
+LAZY = (
+    "LikelihoodRatioTest",
+    "McConfig",
+    "McEstimate",
+    "Radiometer",
+    "TrialBudgetError",
+    "WillieErrorRates",
+    "simulate_bob",
+    "simulate_warden",
+)
+
 
 def test_all_is_the_expected_set():
     assert len(covertpilot.__all__) == len(PUBLIC) == 26
@@ -67,6 +79,21 @@ def test_all_is_the_expected_set():
 def test_every_public_name_resolves():
     for name in covertpilot.__all__:
         assert getattr(covertpilot, name) is not None, name
+
+
+def test_monte_carlo_names_are_the_module_objects():
+    monte_carlo = importlib.import_module("covertpilot.monte_carlo")
+    for name in LAZY:
+        assert getattr(covertpilot, name) is getattr(monte_carlo, name), name
+    assert set(covertpilot.__all__) <= set(dir(covertpilot))
+    with pytest.raises(AttributeError):
+        covertpilot.BobResult
+    namespace = {}
+    exec("from covertpilot import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == PUBLIC
+    for name in PUBLIC:
+        assert namespace[name] is getattr(covertpilot, name), name
 
 
 def test_removed_names_are_gone():
